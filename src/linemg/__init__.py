@@ -3,8 +3,9 @@
 The package answers three related questions exactly:
 
 1. Is this graph the line graph of a multigraph, and if so, of which one?
-   (:func:`linemg.elehot.elehot`, built on twin contraction plus simple line
-   graph recognition, always returning a verified root or a witness.)
+   (:func:`linemg.elehot`, built on twin contraction plus simple line graph
+   recognition, always returning a verified root or raising with a catalog
+   graph induced in the input as witness.)
 2. Which induced subgraphs forbid that structure?  (:mod:`linemg.forbidden`
    ships both minimal catalogs and can re-derive the multigraph one from
    scratch.)
@@ -34,10 +35,8 @@ from .linegraph import (
     LineGraphResult,
     NotLineGraph,
     RecognitionResult,
-    StructuralWitness,
     VertexEdgeMap,
     conflict_graph,
-    edge_distance,
     graph_power,
     line_graph,
     recognize_line_graph,
@@ -75,7 +74,6 @@ from .scheduler import (
     GREEDY,
     ROOT_MWM,
     Pipeline,
-    ScheduleState,
     SlotLog,
     SlotRecord,
     build_pipeline,

@@ -27,13 +27,7 @@ import sys
 from fractions import Fraction
 
 from .graphcore import GraphFormatError, Multigraph, parse_graph, serialize_graph
-from .linegraph import (
-    ForbiddenWitness,
-    NotLineGraph,
-    StructuralWitness,
-    conflict_graph,
-    line_graph,
-)
+from .linegraph import NotLineGraph, conflict_graph, line_graph
 from .elehot import NotLineMultigraph, elehot
 from .forbidden import derive_minimal_forbidden, load_catalog, scan
 from .matching import brute_force_mwis, max_weight_matching, reduce_multigraph
@@ -107,16 +101,6 @@ def _write_map(out: str, header: str, rows: list[tuple[int, int]]) -> str:
     return map_path
 
 
-def _describe_witness(witness) -> str:
-    if isinstance(witness, ForbiddenWitness):
-        hosts = " ".join(str(v) for v in witness.embedding.mapping)
-        return f"forbidden induced subgraph {witness.name} on vertices {hosts}"
-    if isinstance(witness, StructuralWitness):
-        verts = " ".join(str(v) for v in witness.vertices)
-        return f"structural obstruction ({witness.reason}) at vertices {verts}"
-    return str(witness)
-
-
 def _multiplicity_histogram(g: Multigraph) -> str:
     counts: dict[int, int] = {}
     for mult in g.multiplicity.values():
@@ -142,7 +126,7 @@ def cmd_recognize(args) -> int:
             result = recognize_line_graph(simple)
     except (NotLineGraph, NotLineMultigraph) as exc:
         print("NO")
-        print(_describe_witness(exc.witness), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 1
     root = result.root
     print("YES")
@@ -161,7 +145,7 @@ def cmd_root(args) -> int:
     try:
         result = elehot(simple)
     except NotLineMultigraph as exc:
-        print(_describe_witness(exc.witness), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 1
     text = serialize_graph(result.root)
     _write_text(args.out, text)

@@ -15,41 +15,33 @@ graph of a simple graph.  The pipeline here does precisely that:
 
 ``elehot`` chains the three steps and never returns an unchecked answer: the
 candidate root's line graph is recomputed and compared edge-for-edge against
-the input (``verify_root``).  On failure it raises :class:`NotLineMultigraph`
-whose witness lives in the input graph: forbidden-subgraph embeddings found on
-the contracted graph are lifted through class representatives, which preserves
-induced subgraphs in both directions.
+the input (``verify_root``).  On failure it raises :class:`NotLineMultigraph`,
+whose witness is a ``multigraph7`` entry induced in the input graph, computed
+only when read.
+
+The package attribute ``linemg.elehot`` is the function, which shadows this
+module; ``importlib.import_module("linemg.elehot")`` gives the module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphcore import (
-    Embedding,
-    Multigraph,
-    SimpleGraph,
-    find_induced,
-    true_twin_classes,
-)
+from .graphcore import Multigraph, SimpleGraph, true_twin_classes
 from .linegraph import (
-    ForbiddenWitness,
     NotLineGraph,
-    StructuralWitness,
     VertexEdgeMap,
-    Witness,
-    _describe_witness,
+    _Rejected,
     line_graph,
     recognize_line_graph,
 )
 
 
-class NotLineMultigraph(Exception):
-    """The input is not the line graph of any multigraph."""
+class NotLineMultigraph(_Rejected):
+    """The input is not the line graph of any multigraph; the witness is a
+    ``multigraph7`` entry."""
 
-    def __init__(self, witness: Witness):
-        super().__init__(_describe_witness(witness))
-        self.witness = witness
+    catalog = "multigraph7"
 
 
 @dataclass(frozen=True)
@@ -143,70 +135,22 @@ def verify_root(gc: SimpleGraph, result: RootResult) -> bool:
     return True
 
 
-def _lift_witness(witness: Witness, tp: TwinPartition) -> Witness:
-    """Translate a witness on the contracted graph back to the input.
-
-    Induced subgraphs transfer through class representatives: replacing each
-    contracted vertex by its smallest class member embeds the same pattern in
-    the original graph.  Structural certificates keep their h-side vertex ids
-    and attach the class map instead.
-    """
-    if isinstance(witness, ForbiddenWitness):
-        lifted = tuple(tp.classes[u][0] for u in witness.embedding.mapping)
-        return ForbiddenWitness(witness.name, witness.pattern, Embedding(lifted))
-    return StructuralWitness(witness.reason, witness.vertices, tp.class_map)
-
-
-def _multigraph_witness(gc: SimpleGraph, witness: Witness, tp: TwinPartition) -> Witness:
-    """Build the strongest certificate available for a failed input.
-
-    The recognition witness lives on the contracted graph; lifting it back is
-    always possible, but the pattern it names may itself be a line multigraph
-    (only three of the nine simple-side patterns are not), in which case the
-    lifted embedding explains where recognition stopped without proving
-    non-membership on its own.  Small inputs are therefore re-scanned against
-    the seven-member family, whose presence is a self-contained proof; the
-    scan is skipped above 150 vertices, matching the recognition-side policy.
-    """
-    if gc.n_vertices <= 150:
-        from . import forbidden  # local import: forbidden does not import back
-
-        catalog = forbidden.load_catalog("multigraph7")
-        for entry in catalog.entries:
-            emb = find_induced(gc, entry.graph)
-            if emb is not None:
-                return ForbiddenWitness(entry.name, entry.graph, emb)
-    return _lift_witness(witness, tp)
-
-
 def elehot(gc: SimpleGraph) -> RootResult:
     """Reconstruct a multigraph whose line graph is ``gc``.
 
     Contract twins, recognize the contracted graph as a simple line graph,
-    then expand multiplicities.  The result is verified before being returned;
-    any contradiction raises :class:`NotLineMultigraph` with a witness stated
-    in terms of ``gc`` itself.  Roots are not unique in general (a triangle is
+    then expand multiplicities.  The result is verified before being returned.
+    A rejection raises :class:`NotLineMultigraph`, which builds nothing until
+    its witness is read.  Roots are not unique in general (a triangle is
     explained by three parallel edges and by a 3-star among others); this
     returns the deterministic choice made by the recognizer.
     """
     tp = contract_twins(gc)
     try:
         recognition = recognize_line_graph(tp.h)
-    except NotLineGraph as err:
-        raise NotLineMultigraph(_multigraph_witness(gc, err.witness, tp)) from None
-
-    candidates: list[tuple[Multigraph, VertexEdgeMap]] = [
-        (recognition.root, recognition.map)
-    ]
-    # Triangle components would offer a second root, but a twin-free graph
-    # cannot contain one (its three vertices are mutual twins).  Kept only as
-    # a defensive loop; the first candidate always verifies.
-    for alt in recognition.alternatives:
-        raise AssertionError(
-            f"twin-free graph produced root alternatives on {alt.vertices}"
-        )
-    for h_root, map_h in candidates:
-        result = expand_root(h_root, map_h, tp)
-        if verify_root(gc, result):
-            return result
-    raise AssertionError("internal error: verified recognition failed to expand")
+    except NotLineGraph:
+        raise NotLineMultigraph(gc) from None
+    result = expand_root(recognition.root, recognition.map, tp)
+    if not verify_root(gc, result):
+        raise AssertionError("internal error: recognized root failed verification")
+    return result

@@ -24,6 +24,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import combinations
 
+from .elehot import contract_twins
 from .graphcore import (
     Embedding,
     SimpleGraph,
@@ -33,6 +34,7 @@ from .graphcore import (
     parse_graph,
     true_twin_classes,
 )
+from .linegraph import ForbiddenWitness, NotLineGraph, recognize_line_graph
 
 _EXPECTED_SIZES = {"beineke9": 9, "multigraph7": 7}
 
@@ -133,6 +135,50 @@ def scan(g: SimpleGraph, catalog: Catalog) -> list[tuple[str, Embedding]]:
         if emb is not None:
             hits.append((entry.name, emb))
     return hits
+
+
+def catalog_witness(g: SimpleGraph, name: str) -> ForbiddenWitness:
+    """An entry of catalog ``name`` induced in ``g``, which the recognizer of
+    that family rejects.
+
+    "beineke9" pairs with :func:`recognize_line_graph` on ``g``, and
+    "multigraph7" with the same recognizer on ``g`` twin-contracted.  Within
+    the first rejected component, vertices are deleted in chunks of halving
+    size, in ascending order, whenever the rest is still rejected.  The final
+    pass deletes single vertices, so what is left is a minimal rejected graph
+    (membership is hereditary), and the characterization theorem says that
+    is a catalog entry.  Failing to match one is an internal error.
+    """
+    catalog = load_catalog(name)
+
+    def rejected(vertices: list[int]) -> bool:
+        sub, _ = g.induced(vertices)
+        try:
+            recognize_line_graph(contract_twins(sub).h if name == "multigraph7" else sub)
+        except NotLineGraph:
+            return True
+        return False
+
+    keep = next((c for c in connected_components(g) if rejected(c)), None)
+    if keep is None:
+        raise ValueError("the graph is accepted, so it has no witness")
+    chunk = len(keep) // 2
+    while chunk:
+        i = 0
+        while i < len(keep):
+            rest = keep[:i] + keep[i + chunk :]
+            if rejected(rest):
+                keep = rest
+            else:
+                i += chunk
+        chunk //= 2
+    remainder, original = g.induced(keep)
+    for entry in catalog.entries:
+        emb = find_induced(remainder, entry.graph)
+        if emb is not None:
+            mapping = tuple(original[v] for v in emb.mapping)
+            return ForbiddenWitness(entry.name, entry.graph, Embedding(mapping))
+    raise AssertionError(f"minimal rejected graph on {keep} is not in {name}")
 
 
 # ---------------------------------------------------------------------------

@@ -241,9 +241,6 @@ class Embedding:
     def __len__(self) -> int:
         return len(self.mapping)
 
-    def image(self) -> tuple[int, ...]:
-        return self.mapping
-
 
 # ---------------------------------------------------------------------------
 # Edge-list text format

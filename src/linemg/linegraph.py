@@ -7,16 +7,17 @@ M-hop interference model is the M-th power of the line graph.
 
 ``recognize_line_graph`` answers the inverse question for simple roots: given
 a simple graph h, rebuild a simple graph whose line graph is h, or raise
-:class:`NotLineGraph` with a witness.  The implementation grows Krausz cells
-(cliques partitioning the edge set with every vertex in at most two cells),
-which is the structure line graphs are characterized by, and then verifies the
-candidate root by recomputing its line graph, so success is self-certifying.
+:class:`NotLineGraph`, whose witness is a Beineke graph induced in h.  The
+implementation grows Krausz cells (cliques partitioning the edge set with
+every vertex in at most two cells), which is the structure line graphs are
+characterized by, and then verifies the candidate root by recomputing its
+line graph, so success is self-certifying.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .graphcore import (
@@ -25,7 +26,6 @@ from .graphcore import (
     SimpleGraph,
     bfs_distances,
     connected_components,
-    find_induced,
 )
 
 
@@ -79,37 +79,37 @@ class ForbiddenWitness:
     pattern: SimpleGraph
     embedding: Embedding
 
-
-@dataclass(frozen=True)
-class StructuralWitness:
-    """A certificate from the recognizer itself when no catalog scan was run.
-
-    ``vertices`` are the vertices involved in the violated condition.  When a
-    failure was detected on a twin-contracted graph, ``class_map`` carries the
-    original-vertex -> contracted-vertex assignment so the certificate can be
-    read back in the original graph.
-    """
-
-    reason: str
-    vertices: tuple[int, ...]
-    class_map: tuple[int, ...] | None = None
+    def __str__(self) -> str:
+        hosts = " ".join(str(v) for v in self.embedding.mapping)
+        return f"forbidden induced subgraph {self.name} on vertices {hosts}"
 
 
-Witness = ForbiddenWitness | StructuralWitness
+class _Rejected(Exception):
+    """A "no" answer about ``graph``.  The witness, an entry of ``catalog``
+    induced in ``graph``, is computed on first access only, so callers that
+    just need the decision pay nothing for it."""
+
+    catalog: str
+
+    def __init__(self, graph: SimpleGraph):
+        super().__init__(graph)
+        self.graph = graph
+
+    @cached_property
+    def witness(self) -> ForbiddenWitness:
+        from .forbidden import catalog_witness  # forbidden imports this module
+
+        return catalog_witness(self.graph, self.catalog)
+
+    def __str__(self) -> str:
+        return str(self.witness)
 
 
-class NotLineGraph(Exception):
-    """The input is not the line graph of any simple graph."""
+class NotLineGraph(_Rejected):
+    """The input is not the line graph of any simple graph; the witness is a
+    ``beineke9`` entry."""
 
-    def __init__(self, witness: Witness):
-        super().__init__(_describe_witness(witness))
-        self.witness = witness
-
-
-def _describe_witness(w: Witness) -> str:
-    if isinstance(w, ForbiddenWitness):
-        return f"induced {w.name} on vertices {w.embedding.mapping}"
-    return f"{w.reason} (vertices {w.vertices})"
+    catalog = "beineke9"
 
 
 # ---------------------------------------------------------------------------
@@ -142,27 +142,6 @@ def graph_power(g: SimpleGraph, t: int) -> SimpleGraph:
             if u != v and dist[u] <= t:
                 nbrs[v].add(u)
     return SimpleGraph(tuple(frozenset(s) for s in nbrs))
-
-
-def edge_distance(g: Multigraph, e1: int, e2: int) -> int | float:
-    """Distance between two edges: the smallest vertex distance among the
-    four endpoint pairs.  Adjacent (or parallel, or identical) edges are at
-    distance 0; edges in different components are at math.inf.
-
-    This is the "hop count between links" reading of an interference model.
-    Note that it disagrees with conflict_graph for M >= 2: the power graph
-    composes line-graph hops, not root-graph hops.
-    """
-    if not (0 <= e1 < g.n_edges and 0 <= e2 < g.n_edges):
-        raise ValueError("edge id out of range")
-    a = g.edges[e1]
-    b = g.edges[e2]
-    simple = g.to_simple_graph(strict=False)
-    best: int | float = math.inf
-    for s in (a.u, a.v):
-        dist = bfs_distances(simple, s)
-        best = min(best, dist[b.u], dist[b.v])
-    return int(best) if best != math.inf else math.inf
 
 
 def conflict_graph(network: Multigraph, hops: int) -> LineGraphResult:
@@ -201,12 +180,7 @@ class RecognitionResult:
 
 
 class _CellFailure(Exception):
-    """Internal: cell growth hit a contradiction (local vertex labels)."""
-
-    def __init__(self, reason: str, vertices: tuple[int, ...]):
-        super().__init__(reason)
-        self.reason = reason
-        self.vertices = vertices
+    """Internal: cell growth hit a contradiction."""
 
 
 def _triangles_on_edge(g: SimpleGraph, u: int, v: int) -> list[int]:
@@ -244,11 +218,11 @@ def _starting_cell(g: SimpleGraph, edge: tuple[int, int], depth: int = 0) -> tup
         c = tri_vertices[0]
         if len(_triangles_on_edge(g, a, c)) != 1:
             if depth >= 2:  # cannot happen: the next edge sits in >= 2 triangles
-                raise _CellFailure("cell selection did not settle", (a, b, c))
+                raise _CellFailure("cell selection did not settle")
             return _starting_cell(g, (a, c), depth + 1)
         if len(_triangles_on_edge(g, b, c)) != 1:
             if depth >= 2:
-                raise _CellFailure("cell selection did not settle", (a, b, c))
+                raise _CellFailure("cell selection did not settle")
             return _starting_cell(g, (b, c), depth + 1)
         return (a, b, c)
     odd = [c for c in tri_vertices if _odd_triangle(g, (a, b, c))]
@@ -259,15 +233,9 @@ def _starting_cell(g: SimpleGraph, edge: tuple[int, int], depth: int = 0) -> tup
         cell = sorted({a, b, *odd})
         for x, y in combinations(cell, 2):
             if not g.has_edge(x, y):
-                raise _CellFailure(
-                    "odd triangles around an edge do not span a clique",
-                    tuple(cell),
-                )
+                raise _CellFailure("odd triangles around an edge do not span a clique")
         return tuple(cell)
-    raise _CellFailure(
-        "edge lies in an impossible number of odd triangles",
-        (a, b, *tri_vertices),
-    )
+    raise _CellFailure("edge lies in an impossible number of odd triangles")
 
 
 def _krausz_cells(g: SimpleGraph) -> list[tuple[int, ...]]:
@@ -295,14 +263,14 @@ def _krausz_cells(g: SimpleGraph) -> list[tuple[int, ...]]:
     while uncovered > 0:
         if not frontier:
             # unreachable for connected inputs; guard against malformed state
-            raise _CellFailure("edge partition stalled", ())
+            raise _CellFailure("edge partition stalled")
         u = frontier.pop()
         if not remaining[u]:
             continue
         cell = (u, *sorted(remaining[u]))
         for x, y in combinations(cell, 2):
             if x != u and y != u and y not in remaining[x]:
-                raise _CellFailure("partition cell is not a clique", cell)
+                raise _CellFailure("partition cell is not a clique")
         cells.append(cell)
         uncovered -= cover(cell)
         frontier.extend(cell)
@@ -318,11 +286,11 @@ def _root_from_cells(g: SimpleGraph, cells: list[tuple[int, ...]]) -> tuple[Mult
             membership[v].append(idx)
     for v in range(n):
         if len(membership[v]) > 2:
-            raise _CellFailure("vertex belongs to more than two cells", (v,))
+            raise _CellFailure("vertex belongs to more than two cells")
 
     next_vertex = len(cells)
     pairs: list[tuple[int, int]] = []
-    seen_pairs: dict[tuple[int, int], int] = {}
+    seen_pairs: set[tuple[int, int]] = set()
     for v in range(n):
         cells_of_v = membership[v]
         if len(cells_of_v) == 2:
@@ -337,10 +305,9 @@ def _root_from_cells(g: SimpleGraph, cells: list[tuple[int, ...]]) -> tuple[Mult
         if key in seen_pairs:
             # two line vertices sharing both cells would force parallel edges
             raise _CellFailure(
-                "two vertices share the same two cells (a twin pair: no simple root)",
-                (seen_pairs[key], v),
+                "two vertices share the same two cells (a twin pair: no simple root)"
             )
-        seen_pairs[key] = v
+        seen_pairs.add(key)
         pairs.append(key)
     root = Multigraph.from_pairs(next_vertex, pairs)
     return root, VertexEdgeMap.identity(g.n_vertices)
@@ -369,22 +336,8 @@ def _component_candidates(local: SimpleGraph) -> list[tuple[Multigraph, VertexEd
         out = [_root_from_cells(local, cells)]
     for root, _ in out:
         if line_graph(root).graph.adj != local.adj:
-            raise _CellFailure("candidate root failed line graph verification", ())
+            raise _CellFailure("candidate root failed line graph verification")
     return out
-
-
-def _witness_for(h: SimpleGraph, failure: _CellFailure, global_vertices: tuple[int, ...]) -> Witness:
-    """Build the failure witness: a forbidden induced subgraph when the graph
-    is small enough to scan, otherwise the structural certificate."""
-    if h.n_vertices <= 150:
-        from . import forbidden  # local import: forbidden does not import back
-
-        catalog = forbidden.load_catalog("beineke9")
-        for entry in catalog.entries:
-            emb = find_induced(h, entry.graph)
-            if emb is not None:
-                return ForbiddenWitness(entry.name, entry.graph, emb)
-    return StructuralWitness(failure.reason, global_vertices)
 
 
 def recognize_line_graph(h: SimpleGraph) -> RecognitionResult:
@@ -392,9 +345,9 @@ def recognize_line_graph(h: SimpleGraph) -> RecognitionResult:
 
     Components are recognized independently and the root is their disjoint
     union; an empty input yields an empty root, an isolated vertex the
-    two-vertex path.  The returned map sends line vertex v to root edge id,
-    and the result is verified internally (the root's line graph is recomputed
-    and compared edge-for-edge).  Triangle components additionally report
+    two-vertex path.  The returned map sends line vertex v to root edge id.
+    Each component's root is verified by recomputing its line graph, which
+    verifies the disjoint union too.  Triangle components additionally report
     their second root through ``alternatives``.
     """
     comps = connected_components(h)
@@ -407,9 +360,8 @@ def recognize_line_graph(h: SimpleGraph) -> RecognitionResult:
         local, original = h.induced(comp)
         try:
             candidates = _component_candidates(local)
-        except _CellFailure as failure:
-            global_vertices = tuple(original[i] for i in failure.vertices)
-            raise NotLineGraph(_witness_for(h, failure, global_vertices)) from None
+        except _CellFailure:
+            raise NotLineGraph(h) from None
         root_local, map_local = candidates[0]
         for local_vertex in range(local.n_vertices):
             e_local = map_local.edge_of_vertex[local_vertex]
@@ -427,18 +379,5 @@ def recognize_line_graph(h: SimpleGraph) -> RecognitionResult:
         if h.n_vertices
         else VertexEdgeMap.identity(0)
     )
-    relabeled = _line_graph_relabeled(root, vmap)
-    if relabeled.adj != h.adj:
-        raise AssertionError("internal error: assembled root failed verification")
     return RecognitionResult(root, vmap, tuple(alternatives))
 
-
-def _line_graph_relabeled(root: Multigraph, vmap: VertexEdgeMap) -> SimpleGraph:
-    """Line graph of ``root`` with edge ids renamed through ``vmap``."""
-    lg = line_graph(root).graph
-    n = lg.n_vertices
-    adj = [frozenset()] * n
-    for e in range(n):
-        v = vmap.vertex_of_edge[e]
-        adj[v] = frozenset(vmap.vertex_of_edge[f] for f in lg.adj[e])
-    return SimpleGraph(tuple(adj))

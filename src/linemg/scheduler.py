@@ -54,16 +54,6 @@ class Pipeline:
     exact_limit: int
 
 
-@dataclass
-class ScheduleState:
-    """Mutable simulator state: one queue per link, advanced slot by slot."""
-
-    queues: list[int]
-    rates: tuple[float, ...]
-    slot: int
-    seed: int
-
-
 @dataclass(frozen=True)
 class SlotRecord:
     slot: int
@@ -216,27 +206,26 @@ def simulate(p: Pipeline, rates: Sequence[float], slots: int, seed: int) -> Slot
         raise ValueError("slots must be >= 1")
 
     rng = random.Random(seed)
-    state = ScheduleState(queues=[0] * m, rates=tuple(rate_list), slot=0, seed=seed)
+    queues = [0] * m
     records: list[SlotRecord] = []
     served = [0] * m
     queue_total_acc = 0
     for t in range(slots):
-        state.slot = t
         arrivals = tuple(
             link for link in range(m) if rng.random() < rate_list[link]
         )
-        scheduled = schedule_slot(p, state.queues)
+        scheduled = schedule_slot(p, queues)
         for link in scheduled:
-            state.queues[link] -= 1  # schedule_slot never picks empty queues
+            queues[link] -= 1  # schedule_slot never picks empty queues
             served[link] += 1
         for link in arrivals:
-            state.queues[link] += 1
-        total = sum(state.queues)
+            queues[link] += 1
+        total = sum(queues)
         queue_total_acc += total
         records.append(SlotRecord(t, scheduled, arrivals, total))
     return SlotLog(
         records=tuple(records),
-        final_queues=tuple(state.queues),
+        final_queues=tuple(queues),
         mean_queue_total=queue_total_acc / slots,
         throughput=tuple(s / slots for s in served),
         slots=slots,

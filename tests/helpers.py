@@ -80,3 +80,14 @@ def root_search(g: SimpleGraph) -> Multigraph | None:
             if is_isomorphic(lg, g) is not None:
                 return candidate
     return None
+
+
+def is_induced_at(host: SimpleGraph, pattern: SimpleGraph, mapping) -> bool:
+    """Pattern vertex i sits at host vertex mapping[i], and every pattern
+    pair is an edge exactly when its image pair is."""
+    if len(set(mapping)) != pattern.n_vertices:
+        return False
+    return all(
+        pattern.has_edge(i, j) == host.has_edge(mapping[i], mapping[j])
+        for i, j in combinations(range(pattern.n_vertices), 2)
+    )

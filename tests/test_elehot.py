@@ -1,6 +1,7 @@
 """Twin contraction, multiplicity expansion, and the full root pipeline."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +12,17 @@ from linemg import (
     Multigraph,
     NotLineMultigraph,
     SimpleGraph,
-    StructuralWitness,
     contract_twins,
     elehot,
     expand_root,
+    krausz_oracle,
     line_graph,
+    load_catalog,
     recognize_line_graph,
     true_twin_classes,
     verify_root,
 )
-from tests.helpers import random_multigraph
+from tests.helpers import is_induced_at, random_connected_multigraph, random_multigraph
 
 
 DIAMOND = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
@@ -150,12 +152,42 @@ def test_elehot_witness_embeds_in_the_input_not_the_contraction():
     assert sub.n_edges == w.pattern.n_edges
 
 
-def test_elehot_large_failure_falls_back_to_structural_witness():
-    n = 160
+@pytest.mark.parametrize("n", [160, 2000])
+def test_elehot_large_star_names_f1_at_the_highest_ids(n):
     star = SimpleGraph.from_edges(n, [(i, n - 1) for i in range(n - 1)])
     with pytest.raises(NotLineMultigraph) as err:
         elehot(star)
-    assert isinstance(err.value.witness, StructuralWitness)
+    w = err.value.witness
+    assert w.name == "F1"
+    assert sorted(w.embedding.mapping) == [n - 4, n - 3, n - 2, n - 1]
+
+
+def test_elehot_padded_g4_gets_a_multigraph7_witness():
+    # a 7-vertex non-member holding Beineke's G4, next to a K150: the old
+    # size cutoff answered "induced G4", and G4 is a line multigraph
+    edges = [(0, 6), (1, 4), (1, 5), (2, 3), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5)]
+    edges += list(combinations(range(7, 157), 2))
+    g = SimpleGraph.from_edges(157, edges)
+    with pytest.raises(NotLineMultigraph) as err:
+        elehot(g)
+    w = err.value.witness
+    assert w.name.startswith("F")
+    assert not krausz_oracle(w.pattern)
+    assert is_induced_at(g, w.pattern, w.embedding.mapping)
+
+
+def test_elehot_line_graph_plus_f7_names_f7():
+    f7 = load_catalog("multigraph7").entries[-1].graph
+    lg = line_graph(random_connected_multigraph(random.Random(7), 60, 147 - f7.n_vertices)).graph
+    m = lg.n_vertices
+    edges = list(lg.edge_list) + [(m + u, m + v) for u, v in f7.edge_list]
+    g = SimpleGraph.from_edges(147, edges)
+    with pytest.raises(NotLineMultigraph) as err:
+        elehot(g)
+    w = err.value.witness
+    assert w.name == "F7"
+    assert sorted(w.embedding.mapping) == list(range(m, 147))
+    assert is_induced_at(g, w.pattern, w.embedding.mapping)
 
 
 def test_elehot_disconnected_input():

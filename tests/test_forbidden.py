@@ -22,10 +22,10 @@ from linemg import (
     scan,
     true_twin_classes,
 )
-from linemg.forbidden import CONNECTED_COUNTS, canonical_code
+from linemg.forbidden import CONNECTED_COUNTS, canonical_code, catalog_witness
 from linemg.linegraph import NotLineGraph
 from linemg.elehot import NotLineMultigraph
-from tests.helpers import random_simple_graph, root_search
+from tests.helpers import is_induced_at, random_simple_graph, root_search
 
 
 CLAW = SimpleGraph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
@@ -222,3 +222,30 @@ def test_beineke_scan_matches_simple_recognition_on_patterns():
         with pytest.raises(NotLineGraph):
             recognize_line_graph(entry.graph)
         assert scan(entry.graph, b9)
+
+
+@pytest.mark.parametrize("name", ["beineke9", "multigraph7"])
+def test_witnesses_agree_with_the_catalog_scan_on_small_graphs(name):
+    # every rejection among the connected graphs on up to 7 vertices names a
+    # catalog entry that is induced in the input and that a full scan finds
+    catalog = load_catalog(name)
+    patterns = {e.name: e.graph for e in catalog.entries}
+    decide = recognize_line_graph if name == "beineke9" else elehot
+    rejections = 0
+    for g in enumerate_connected(7):
+        try:
+            decide(g)
+            continue
+        except (NotLineGraph, NotLineMultigraph) as err:
+            w = err.witness
+        rejections += 1
+        assert w.pattern is patterns[w.name]
+        assert is_induced_at(g, w.pattern, w.embedding.mapping)
+        assert w.name in {hit for hit, _ in scan(g, catalog)}
+    assert rejections == {"beineke9": 866, "multigraph7": 774}[name]
+
+
+def test_catalog_witness_refuses_an_accepted_graph():
+    k3 = SimpleGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(ValueError):
+        catalog_witness(k3, "beineke9")

@@ -1,6 +1,5 @@
 """Line graphs, powers, conflict graphs, and simple-root recognition."""
 
-import math
 import random
 
 import pytest
@@ -12,10 +11,8 @@ from linemg import (
     Multigraph,
     NotLineGraph,
     SimpleGraph,
-    StructuralWitness,
     VertexEdgeMap,
     conflict_graph,
-    edge_distance,
     graph_power,
     is_isomorphic,
     line_graph,
@@ -93,28 +90,11 @@ def test_conflict_graph_examples():
     p4 = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
     assert conflict_graph(p4, 1).graph.edge_list == ((0, 1), (1, 2))
     assert conflict_graph(p4, 2).graph.n_edges == 3  # K3
+    # conflict hops are line-graph hops: the end links of P5 are three apart
+    p5 = Multigraph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert 3 not in conflict_graph(p5, 2).graph.adj[0]
     with pytest.raises(ValueError):
         conflict_graph(p4, 0)
-
-
-def test_edge_distance_readings():
-    p5 = Multigraph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert edge_distance(p5, 0, 0) == 0
-    assert edge_distance(p5, 0, 1) == 0  # sharing a vertex
-    assert edge_distance(p5, 0, 2) == 1
-    assert edge_distance(p5, 0, 3) == 2
-    two = Multigraph.from_pairs(4, [(0, 1), (2, 3)])
-    assert math.isinf(edge_distance(two, 0, 1))
-    with pytest.raises(ValueError):
-        edge_distance(two, 0, 5)
-
-
-def test_conflict_graph_disagrees_with_edge_distance_for_m2():
-    # links at edge-distance 2 in P5 are still non-adjacent in [L(P5)]^2
-    p5 = Multigraph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    gc = conflict_graph(p5, 2).graph
-    assert edge_distance(p5, 0, 3) == 2
-    assert 3 not in gc.adj[0]  # line-graph hops: d(0,3) = 3 > 2
 
 
 # -------------------------------------------------------------- recognition
@@ -167,13 +147,16 @@ def test_recognize_k5_minus_edge_fails():
     assert isinstance(err.value.witness, ForbiddenWitness)
 
 
-def test_recognize_large_failure_reports_structural_witness():
-    # a star beyond the catalog-scan size limit: witness stays structural
-    n = 160
+@pytest.mark.parametrize("n", [160, 2000])
+def test_recognize_large_star_names_the_claw_at_the_highest_ids(n):
+    # deletion runs in ascending order, so the claw that survives is the
+    # centre n-1 with the three highest leaves
     star = SimpleGraph.from_edges(n, [(i, n - 1) for i in range(n - 1)])
     with pytest.raises(NotLineGraph) as err:
         recognize_line_graph(star)
-    assert isinstance(err.value.witness, StructuralWitness)
+    w = err.value.witness
+    assert w.name == "G1"
+    assert sorted(w.embedding.mapping) == [n - 4, n - 3, n - 2, n - 1]
 
 
 def test_recognize_wheel_like_graph_fails():

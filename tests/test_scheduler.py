@@ -17,6 +17,7 @@ from linemg import (
     schedule_slot,
     simulate,
 )
+from linemg import forbidden
 from linemg.scheduler import (
     read_vector_csv,
     write_slots_csv,
@@ -58,6 +59,15 @@ def test_pipeline_spider_falls_back_to_exact():
 def test_pipeline_greedy_fallback_beyond_exact_limit():
     p = build_pipeline(SPIDER, 2, exact_limit=3)
     assert p.mode == GREEDY
+
+
+def test_pipeline_fallback_builds_no_witness(monkeypatch):
+    def boom(*args):
+        raise AssertionError("build_pipeline built a witness")
+
+    monkeypatch.setattr(forbidden, "find_induced", boom)
+    monkeypatch.setattr(forbidden, "load_catalog", boom)
+    assert build_pipeline(SPIDER, 2, exact_limit=3).mode == GREEDY
 
 
 def test_pipeline_forced_policies():
