@@ -90,11 +90,19 @@ def test_conflict_graph_examples():
     p4 = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
     assert conflict_graph(p4, 1).graph.edge_list == ((0, 1), (1, 2))
     assert conflict_graph(p4, 2).graph.n_edges == 3  # K3
-    # conflict hops are line-graph hops: the end links of P5 are three apart
-    p5 = Multigraph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert 3 not in conflict_graph(p5, 2).graph.adj[0]
     with pytest.raises(ValueError):
         conflict_graph(p4, 0)
+
+
+def test_conflict_graph_disagrees_with_edge_distance_for_m2():
+    # links at edge-distance 2 in P5 are still non-adjacent in [L(P5)]^2
+    p5 = Multigraph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    gc = conflict_graph(p5, 2).graph
+    # edge-distance 2: an endpoint of link 0 (vertex 1) is two hops from
+    # an endpoint of link 3 (vertex 3) in the root
+    root = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert 3 not in root.adj[1] and 3 in graph_power(root, 2).adj[1]
+    assert 3 not in gc.adj[0]  # line-graph hops: d(0,3) = 3 > 2
 
 
 # -------------------------------------------------------------- recognition
