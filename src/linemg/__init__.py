@@ -30,11 +30,10 @@ from .graphcore import (
     true_twin_classes,
 )
 from .linegraph import (
-    ComponentAlternative,
     ForbiddenWitness,
     LineGraphResult,
     NotLineGraph,
-    RecognitionResult,
+    RootResult,
     VertexEdgeMap,
     conflict_graph,
     graph_power,
@@ -43,7 +42,6 @@ from .linegraph import (
 )
 from .elehot import (
     NotLineMultigraph,
-    RootResult,
     TwinPartition,
     contract_twins,
     elehot,

@@ -114,7 +114,7 @@ def _multiplicity_histogram(g: Multigraph) -> str:
 def cmd_recognize(args) -> int:
     g = _load_graph(args.graph)
     try:
-        simple = g.to_simple_graph(strict=True)
+        simple = g.to_simple_graph()
     except ValueError as exc:
         raise UsageError(f"{args.graph}: {exc}") from exc
     try:
@@ -139,7 +139,7 @@ def cmd_recognize(args) -> int:
 def cmd_root(args) -> int:
     g = _load_graph(args.graph)
     try:
-        simple = g.to_simple_graph(strict=True)
+        simple = g.to_simple_graph()
     except ValueError as exc:
         raise UsageError(f"{args.graph}: {exc}") from exc
     try:
@@ -186,7 +186,7 @@ def cmd_conflict(args) -> int:
 def cmd_forbidden(args) -> int:
     g = _load_graph(args.graph)
     try:
-        simple = g.to_simple_graph(strict=True)
+        simple = g.to_simple_graph()
     except ValueError as exc:
         raise UsageError(f"{args.graph}: {exc}") from exc
     try:
@@ -227,7 +227,7 @@ def cmd_mwm(args) -> int:
 def cmd_mwis(args) -> int:
     g = _load_graph(args.graph)
     try:
-        simple = g.to_simple_graph(strict=True)
+        simple = g.to_simple_graph()
     except ValueError as exc:
         raise UsageError(f"{args.graph}: {exc}") from exc
     if simple.n_vertices > 25:

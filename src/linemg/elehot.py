@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .graphcore import Multigraph, SimpleGraph, true_twin_classes
 from .linegraph import (
     NotLineGraph,
+    RootResult,
     VertexEdgeMap,
     _Rejected,
     line_graph,
@@ -57,14 +58,6 @@ class TwinPartition:
     h: SimpleGraph
     weights: tuple[int, ...]
     class_map: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RootResult:
-    """A reconstructed root multigraph plus the vertex<->edge correspondence."""
-
-    root: Multigraph
-    map: VertexEdgeMap
 
 
 def contract_twins(gc: SimpleGraph) -> TwinPartition:

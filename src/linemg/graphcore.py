@@ -7,7 +7,7 @@ Two graph representations are used throughout the package:
   edges are simply repeated endpoint pairs, and every edge carries a
   non-negative rational weight (default 1).
 * :class:`SimpleGraph` - an immutable simple graph stored as per-vertex
-  neighbor sets, with optional vertex weights.
+  neighbor sets.
 
 On top of these the module provides the text edge-list format (parse and
 serialize), exhaustive isomorphism and induced-subgraph search (intended for
@@ -133,9 +133,9 @@ class Multigraph:
     def is_simple(self) -> bool:
         return all(c == 1 for c in self.multiplicity.values())
 
-    def to_simple_graph(self, strict: bool = True) -> "SimpleGraph":
-        """View as a SimpleGraph. With strict=True parallel edges are an error."""
-        if strict and not self.is_simple():
+    def to_simple_graph(self) -> "SimpleGraph":
+        """View as a SimpleGraph; parallel edges are an error."""
+        if not self.is_simple():
             raise ValueError("multigraph has parallel edges")
         return SimpleGraph.from_edges(self.n_vertices, [e.pair for e in self.edges])
 
@@ -147,12 +147,10 @@ class Multigraph:
 class SimpleGraph:
     """Immutable simple graph as a tuple of per-vertex neighbor sets.
 
-    ``adj[v]`` never contains v itself and membership is symmetric.  Optional
-    ``vertex_weights`` ride along for weighted independent-set problems.
+    ``adj[v]`` never contains v itself and membership is symmetric.
     """
 
     adj: tuple[frozenset[int], ...]
-    vertex_weights: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         n = len(self.adj)
@@ -164,15 +162,9 @@ class SimpleGraph:
                     raise ValueError(f"neighbor {u} of {v} out of range")
                 if v not in self.adj[u]:
                     raise ValueError(f"asymmetric adjacency {v}-{u}")
-        if self.vertex_weights is not None and len(self.vertex_weights) != n:
-            raise ValueError("vertex_weights length mismatch")
 
     @staticmethod
-    def from_edges(
-        n_vertices: int,
-        pairs: Iterable[tuple[int, int]],
-        vertex_weights: Sequence | None = None,
-    ) -> "SimpleGraph":
+    def from_edges(n_vertices: int, pairs: Iterable[tuple[int, int]]) -> "SimpleGraph":
         """Build from undirected edge pairs; duplicates collapse, loops are errors."""
         nbrs: list[set[int]] = [set() for _ in range(n_vertices)]
         for u, v in pairs:
@@ -182,10 +174,7 @@ class SimpleGraph:
                 raise ValueError(f"edge ({u},{v}) out of range")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        weights = None
-        if vertex_weights is not None:
-            weights = tuple(Fraction(w) for w in vertex_weights)
-        return SimpleGraph(tuple(frozenset(s) for s in nbrs), weights)
+        return SimpleGraph(tuple(frozenset(s) for s in nbrs))
 
     @property
     def n_vertices(self) -> int:
@@ -207,9 +196,6 @@ class SimpleGraph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def with_weights(self, weights: Sequence) -> "SimpleGraph":
-        return SimpleGraph(self.adj, tuple(Fraction(w) for w in weights))
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
         return self.adj[v] | {v}
@@ -330,6 +316,42 @@ def serialize_graph(g: Multigraph) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _first_embedding(
+    pattern: SimpleGraph, host: SimpleGraph, candidates: list[list[int]]
+) -> Embedding | None:
+    """Lexicographically first induced embedding of ``pattern`` in ``host``
+    that sends pattern vertex k into ``candidates[k]`` (ascending), or None."""
+    mapping: list[int] = []
+    used = [False] * host.n_vertices
+    if _place(pattern.adj, host.adj, candidates, mapping, used):
+        return Embedding(tuple(mapping))
+    return None
+
+
+def _place(pattern_adj, host_adj, candidates, mapping: list[int], used: list[bool]) -> bool:
+    """Backtracking step of :func:`_first_embedding`: place pattern vertex
+    ``len(mapping)`` and everything after it."""
+    k = len(mapping)
+    if k == len(candidates):
+        return True
+    row = pattern_adj[k]
+    for u in candidates[k]:
+        if used[u]:
+            continue
+        host_row = host_adj[u]
+        for j in range(k):
+            if (j in row) != (mapping[j] in host_row):
+                break
+        else:
+            used[u] = True
+            mapping.append(u)
+            if _place(pattern_adj, host_adj, candidates, mapping, used):
+                return True
+            mapping.pop()
+            used[u] = False
+    return False
+
+
 def is_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> Embedding | None:
     """Exhaustive isomorphism test with degree pruning.
 
@@ -343,34 +365,8 @@ def is_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> Embedding | None:
     deg2 = [g2.degree(v) for v in range(n)]
     if sorted(deg1) != sorted(deg2):
         return None
-
     candidates = [[u for u in range(n) if deg2[u] == deg1[v]] for v in range(n)]
-    mapping: list[int] = []
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        for u in candidates[k]:
-            if used[u]:
-                continue
-            ok = True
-            for j in range(k):
-                if g1.has_edge(j, k) != g2.has_edge(mapping[j], u):
-                    ok = False
-                    break
-            if ok:
-                used[u] = True
-                mapping.append(u)
-                if extend(k + 1):
-                    return True
-                mapping.pop()
-                used[u] = False
-        return False
-
-    if extend(0):
-        return Embedding(tuple(mapping))
-    return None
+    return _first_embedding(g1, g2, candidates)
 
 
 def find_induced(host: SimpleGraph, pattern: SimpleGraph) -> Embedding | None:
@@ -380,37 +376,14 @@ def find_induced(host: SimpleGraph, pattern: SimpleGraph) -> Embedding | None:
     image of 1, ...), which makes witnesses reproducible.  Pattern sizes up to
     about 8 vertices stay fast.
     """
-    p = pattern.n_vertices
-    nh = host.n_vertices
-    if p > nh:
+    if pattern.n_vertices > host.n_vertices:
         return None
-    mapping: list[int] = []
-    used = [False] * nh
-
-    def extend(k: int) -> bool:
-        if k == p:
-            return True
-        pk_deg = pattern.degree(k)
-        for u in range(nh):
-            if used[u] or host.degree(u) < pk_deg:
-                continue
-            ok = True
-            for j in range(k):
-                if pattern.has_edge(j, k) != host.has_edge(mapping[j], u):
-                    ok = False
-                    break
-            if ok:
-                used[u] = True
-                mapping.append(u)
-                if extend(k + 1):
-                    return True
-                mapping.pop()
-                used[u] = False
-        return False
-
-    if extend(0):
-        return Embedding(tuple(mapping))
-    return None
+    host_deg = [host.degree(u) for u in range(host.n_vertices)]
+    candidates = [
+        [u for u, d in enumerate(host_deg) if d >= pattern.degree(k)]
+        for k in range(pattern.n_vertices)
+    ]
+    return _first_embedding(pattern, host, candidates)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ M-hop interference model is the M-th power of the line graph.
 
 ``recognize_line_graph`` answers the inverse question for simple roots: given
 a simple graph h, rebuild a simple graph whose line graph is h, or raise
-:class:`NotLineGraph`, whose witness is a Beineke graph induced in h.  The
-implementation grows Krausz cells (cliques partitioning the edge set with
-every vertex in at most two cells), which is the structure line graphs are
-characterized by, and then verifies the candidate root by recomputing its
-line graph, so success is self-certifying.
+:class:`NotLineGraph`, whose witness is a Beineke graph induced in h.  It grows
+Krausz cells (cliques partitioning the edge set with every vertex in at most
+two cells), the structure line graphs are characterized by, in one pass over
+the whole graph, component after component.  The cells become the root's
+vertices and line vertex v becomes root edge v.  One recomputation of the
+root's line graph, compared with h, certifies the answer.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .graphcore import (
-    Embedding,
-    Multigraph,
-    SimpleGraph,
-    bfs_distances,
-    connected_components,
-)
+from .graphcore import Embedding, Multigraph, SimpleGraph, bfs_distances
 
 
 @dataclass(frozen=True)
@@ -159,24 +154,11 @@ def conflict_graph(network: Multigraph, hops: int) -> LineGraphResult:
 
 
 @dataclass(frozen=True)
-class ComponentAlternative:
-    """Other valid roots for one connected component.
+class RootResult:
+    """A reconstructed root multigraph plus the vertex<->edge correspondence."""
 
-    ``vertices`` lists the component's vertices in the recognized graph;
-    ``roots`` are (root, map) pairs over the component relabeled 0..k-1 in
-    sorted order, primary candidate first.  Only triangle components ever
-    populate this (a K3 is the line graph of both K1,3 and K3).
-    """
-
-    vertices: tuple[int, ...]
-    roots: tuple[tuple[Multigraph, VertexEdgeMap], ...]
-
-
-@dataclass(frozen=True)
-class RecognitionResult:
     root: Multigraph
     map: VertexEdgeMap
-    alternatives: tuple[ComponentAlternative, ...] = ()
 
 
 class _CellFailure(Exception):
@@ -239,45 +221,46 @@ def _starting_cell(g: SimpleGraph, edge: tuple[int, int], depth: int = 0) -> tup
 
 
 def _krausz_cells(g: SimpleGraph) -> list[tuple[int, ...]]:
-    """Partition the edges of a connected graph (n >= 2) into Krausz cells.
+    """Partition the edges of ``g`` into Krausz cells, one component at a time.
 
-    Raises _CellFailure when the growth hits a contradiction, which proves the
-    graph is not a line graph.
+    A component is started at its smallest vertex s, with the first cell
+    anchored at the edge (s, min(adj[s])), and grown until its frontier is
+    empty, which covers all of its edges.  Isolated vertices get no cell.
+    Raises _CellFailure when the growth hits a contradiction, which proves
+    the graph is not a line graph.
     """
-    first_edge = g.edge_list[0]
-    cells = [_starting_cell(g, first_edge)]
     remaining: list[set[int]] = [set(s) for s in g.adj]
-    uncovered = g.n_edges
-
-    def cover(cell: tuple[int, ...]) -> int:
-        removed = 0
-        for x, y in combinations(cell, 2):
-            if y in remaining[x]:
+    cells: list[tuple[int, ...]] = []
+    for s in range(g.n_vertices):
+        if not remaining[s]:
+            continue
+        cell = _starting_cell(g, (s, min(g.adj[s])))
+        frontier: list[int] = []
+        while cell:
+            cells.append(cell)
+            for x, y in combinations(cell, 2):
                 remaining[x].discard(y)
                 remaining[y].discard(x)
-                removed += 1
-        return removed
-
-    uncovered -= cover(cells[0])
-    frontier = list(cells[0])
-    while uncovered > 0:
-        if not frontier:
-            # unreachable for connected inputs; guard against malformed state
-            raise _CellFailure("edge partition stalled")
-        u = frontier.pop()
-        if not remaining[u]:
-            continue
-        cell = (u, *sorted(remaining[u]))
-        for x, y in combinations(cell, 2):
-            if x != u and y != u and y not in remaining[x]:
-                raise _CellFailure("partition cell is not a clique")
-        cells.append(cell)
-        uncovered -= cover(cell)
-        frontier.extend(cell)
+            frontier.extend(cell)
+            cell = _next_cell(frontier, remaining)
     return cells
 
 
-def _root_from_cells(g: SimpleGraph, cells: list[tuple[int, ...]]) -> tuple[Multigraph, VertexEdgeMap]:
+def _next_cell(frontier: list[int], remaining: list[set[int]]) -> tuple[int, ...]:
+    """Pop the frontier down to a vertex u with uncovered edges; its cell is u
+    plus all of them, which must be a clique.  Empty when the frontier is."""
+    while frontier:
+        u = frontier.pop()
+        if remaining[u]:
+            cell = (u, *sorted(remaining[u]))
+            for x, y in combinations(cell[1:], 2):
+                if y not in remaining[x]:
+                    raise _CellFailure("partition cell is not a clique")
+            return cell
+    return ()
+
+
+def _root_from_cells(g: SimpleGraph, cells: list[tuple[int, ...]]) -> Multigraph:
     """Turn a cell partition into a simple root whose edge i is line vertex i."""
     n = g.n_vertices
     membership: list[list[int]] = [[] for _ in range(n)]
@@ -309,75 +292,23 @@ def _root_from_cells(g: SimpleGraph, cells: list[tuple[int, ...]]) -> tuple[Mult
             )
         seen_pairs.add(key)
         pairs.append(key)
-    root = Multigraph.from_pairs(next_vertex, pairs)
-    return root, VertexEdgeMap.identity(g.n_vertices)
+    return Multigraph.from_pairs(next_vertex, pairs)
 
 
-def _is_triangle(g: SimpleGraph) -> bool:
-    return g.n_vertices == 3 and g.n_edges == 3
-
-
-def _component_candidates(local: SimpleGraph) -> list[tuple[Multigraph, VertexEdgeMap]]:
-    """Candidate simple roots of a connected graph with local labels.
-
-    Exactly one candidate except for the triangle, which is the line graph of
-    both the 3-star and the triangle itself (the star is listed first).  Each
-    candidate is verified by recomputing its line graph.
-    """
-    k = local.n_vertices
-    if k == 1:
-        return [(Multigraph.from_pairs(2, [(0, 1)]), VertexEdgeMap.identity(1))]
-    if _is_triangle(local):
-        star = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3)])
-        tri = Multigraph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
-        out = [(star, VertexEdgeMap.identity(3)), (tri, VertexEdgeMap.identity(3))]
-    else:
-        cells = _krausz_cells(local)
-        out = [_root_from_cells(local, cells)]
-    for root, _ in out:
-        if line_graph(root).graph.adj != local.adj:
-            raise _CellFailure("candidate root failed line graph verification")
-    return out
-
-
-def recognize_line_graph(h: SimpleGraph) -> RecognitionResult:
+def recognize_line_graph(h: SimpleGraph) -> RootResult:
     """Find a simple graph whose line graph is ``h``, or raise NotLineGraph.
 
-    Components are recognized independently and the root is their disjoint
-    union; an empty input yields an empty root, an isolated vertex the
-    two-vertex path.  The returned map sends line vertex v to root edge id.
-    Each component's root is verified by recomputing its line graph, which
-    verifies the disjoint union too.  Triangle components additionally report
-    their second root through ``alternatives``.
+    One pass over the whole graph: Krausz cells are grown component by
+    component, each cell becomes a root vertex, and line vertex v becomes root
+    edge v (the map is the identity).  An isolated vertex gets a private edge,
+    and an empty input an empty root.  A triangle yields the 3-star, although
+    it is also the line graph of itself.  The root is certified by
+    recomputing its line graph once and comparing it with ``h``.
     """
-    comps = connected_components(h)
-    root_pairs: list[tuple[int, int]] = []
-    edge_of_vertex: list[int] = [0] * h.n_vertices
-    alternatives: list[ComponentAlternative] = []
-    vertex_offset = 0
-    edge_counter = 0
-    for comp in comps:
-        local, original = h.induced(comp)
-        try:
-            candidates = _component_candidates(local)
-        except _CellFailure:
-            raise NotLineGraph(h) from None
-        root_local, map_local = candidates[0]
-        for local_vertex in range(local.n_vertices):
-            e_local = map_local.edge_of_vertex[local_vertex]
-            edge = root_local.edges[e_local]
-            # append in local-vertex order so global edge id tracks edge_counter
-            root_pairs.append((edge.u + vertex_offset, edge.v + vertex_offset))
-            edge_of_vertex[original[local_vertex]] = edge_counter
-            edge_counter += 1
-        vertex_offset += root_local.n_vertices
-        if len(candidates) > 1:
-            alternatives.append(ComponentAlternative(tuple(comp), tuple(candidates)))
-    root = Multigraph.from_pairs(vertex_offset, root_pairs)
-    vmap = (
-        VertexEdgeMap.from_edge_of_vertex(tuple(edge_of_vertex))
-        if h.n_vertices
-        else VertexEdgeMap.identity(0)
-    )
-    return RecognitionResult(root, vmap, tuple(alternatives))
-
+    try:
+        root = _root_from_cells(h, _krausz_cells(h))
+    except _CellFailure:
+        raise NotLineGraph(h) from None
+    if line_graph(root).graph.adj != h.adj:
+        raise NotLineGraph(h)
+    return RootResult(root, VertexEdgeMap.identity(h.n_vertices))

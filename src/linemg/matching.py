@@ -145,16 +145,15 @@ def brute_force_mwis(
 ) -> tuple[tuple[int, ...], Fraction]:
     """Exhaustive maximum weight independent set (at most 25 vertices).
 
-    Weights default to the graph's vertex weights, then to all ones.  Returns
-    (vertices ascending, total weight).  Branch and bound on bitmasks:
-    branch on the heaviest live vertex, bound by the live weight total.
-    Ties break toward including smaller vertex ids.
+    Weights default to all ones.  Returns (vertices ascending, total weight).
+    Branch and bound on bitmasks: branch on the heaviest live vertex, bound
+    by the live weight total.  Ties break toward including smaller vertex ids.
     """
     n = g.n_vertices
     if n > 25:
         raise ValueError("brute-force independent set accepts at most 25 vertices")
     if weights is None:
-        weights = g.vertex_weights if g.vertex_weights is not None else [1] * n
+        weights = [1] * n
     w = [Fraction(x) for x in weights]
     if len(w) != n:
         raise ValueError("weights length mismatch")

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .elehot import NotLineMultigraph, RootResult, elehot
+from .elehot import NotLineMultigraph, elehot
 from .graphcore import Multigraph, SimpleGraph
-from .linegraph import LineGraphResult, conflict_graph
+from .linegraph import LineGraphResult, RootResult, conflict_graph
 from .matching import max_weight_matching, reduce_multigraph, brute_force_mwis
 
 ROOT_MWM = "ROOT_MWM"
@@ -146,7 +146,7 @@ def greedy_mwis(
     heuristic with no optimality guarantee."""
     n = g.n_vertices
     if weights is None:
-        weights = g.vertex_weights if g.vertex_weights is not None else [1] * n
+        weights = [1] * n
     w = [Fraction(x) for x in weights]
     if len(w) != n:
         raise ValueError("weights length mismatch")

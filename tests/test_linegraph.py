@@ -1,6 +1,8 @@
 """Line graphs, powers, conflict graphs, and simple-root recognition."""
 
+import importlib
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,14 @@ from linemg import (
     SimpleGraph,
     VertexEdgeMap,
     conflict_graph,
+    enumerate_connected,
     graph_power,
     is_isomorphic,
     line_graph,
+    load_catalog,
     recognize_line_graph,
 )
-from tests.helpers import random_multigraph, random_simple_graph
+from tests.helpers import is_induced_at, random_multigraph, random_simple_graph
 
 
 def relabel(g: SimpleGraph, vmap: VertexEdgeMap) -> SimpleGraph:
@@ -117,15 +121,11 @@ def test_recognize_path_line_graph():
 
 
 def test_recognize_triangle_prefers_star_and_offers_k3():
+    # K3 is also L(K3); the recognizer returns the star and offers nothing else
     k3 = SimpleGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     res = recognize_line_graph(k3)
     assert res.root.n_vertices == 4  # K1,3
     assert sorted(res.root.degree(v) for v in range(4)) == [1, 1, 1, 3]
-    assert len(res.alternatives) == 1
-    alt_roots = res.alternatives[0].roots
-    assert len(alt_roots) == 2
-    alt_graph = alt_roots[1][0]
-    assert alt_graph.n_vertices == 3 and alt_graph.n_edges == 3
 
 
 def test_recognize_isolated_vertex_and_empty():
@@ -134,6 +134,60 @@ def test_recognize_isolated_vertex_and_empty():
     assert res.root.n_vertices == 2 and res.root.n_edges == 1
     empty = recognize_line_graph(SimpleGraph.from_edges(0, []))
     assert empty.root.n_vertices == 0 and empty.root.n_edges == 0
+
+
+def _disjoint_union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
+    shift = a.n_vertices
+    pairs = list(a.edge_list) + [(u + shift, v + shift) for u, v in b.edge_list]
+    return SimpleGraph.from_edges(shift + b.n_vertices, pairs)
+
+
+def _accepted(g: SimpleGraph) -> bool:
+    try:
+        recognize_line_graph(g)
+    except NotLineGraph:
+        return False
+    return True
+
+
+def test_recognize_disjoint_unions_of_small_connected_graphs():
+    # the single pass decides a union exactly as its parts are decided, keeps
+    # line vertex v as root edge v, and every "no" names an induced entry
+    small = enumerate_connected(5)
+    accepted = [_accepted(g) for g in small]
+    patterns = {e.name: e.graph for e in load_catalog("beineke9").entries}
+    for (a, a_ok), (b, b_ok) in product(zip(small, accepted), repeat=2):
+        g = _disjoint_union(a, b)
+        try:
+            res = recognize_line_graph(g)
+        except NotLineGraph as err:
+            assert not (a_ok and b_ok)
+            w = err.witness
+            assert w.pattern is patterns[w.name]
+            assert is_induced_at(g, w.pattern, w.embedding.mapping)
+            continue
+        assert a_ok and b_ok
+        assert res.map.edge_of_vertex == tuple(range(g.n_vertices))
+        assert res.root.is_simple()
+        assert line_graph(res.root).graph == g
+
+
+def test_recognize_computes_one_line_graph_for_many_components(monkeypatch):
+    linegraph = importlib.import_module("linemg.linegraph")
+    calls = []
+    real = linegraph.line_graph
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(linegraph, "line_graph", counting)
+    p3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+    k3 = SimpleGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    g = _disjoint_union(_disjoint_union(p3, k3), SimpleGraph.from_edges(1, []))
+    res = recognize_line_graph(g)
+    assert len(calls) == 1
+    assert res.root.n_edges == 7 and real(res.root).graph == g
 
 
 def test_recognize_claw_fails_with_catalog_witness():
