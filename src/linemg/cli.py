@@ -237,9 +237,9 @@ def cmd_mwis(args) -> int:
         unknown = set(vector) - set(range(simple.n_vertices))
         if unknown:
             raise UsageError(f"weight rows for unknown vertices: {sorted(unknown)}")
-        weights = [vector.get(v, Fraction(0)) for v in range(simple.n_vertices)]
+        weights = [vector.get(v, 0) for v in range(simple.n_vertices)]
     else:
-        weights = [Fraction(1)] * simple.n_vertices
+        weights = [1] * simple.n_vertices
     chosen, weight = brute_force_mwis(simple, weights)
     print(f"vertices: {' '.join(str(v) for v in sorted(chosen))}")
     print(f"weight: {weight}")
@@ -256,7 +256,7 @@ def cmd_schedule(args) -> int:
         links = schedule_slot(pipeline, queues)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    weight = sum((queues.get(link, Fraction(0)) for link in links), Fraction(0))
+    weight = sum(queues[link] for link in links)
     print(f"links: {' '.join(str(link) for link in links)}")
     print(f"weight: {weight}")
     print(f"mode: {pipeline.mode}")

@@ -9,9 +9,9 @@ graph of a simple graph.  The pipeline here does precisely that:
    twin-free, and contracting again is the identity.
 2. The twin-free graph is handed to :func:`linemg.linegraph.recognize_line_graph`,
    which either produces a simple root or a witness.
-3. ``expand_root`` replicates each root edge as many times as its line vertex
-   weighs, i.e. parallel edges reappear with the multiplicities the twin
-   classes encoded.
+3. ``expand_root`` gives every input vertex a copy of its class's root edge,
+   i.e. parallel edges reappear with the multiplicities the twin classes
+   encoded.  Root edge v is input vertex v, as everywhere in the package.
 
 ``elehot`` chains the three steps and never returns an unchecked answer: the
 candidate root's line graph is recomputed and compared edge-for-edge against
@@ -90,49 +90,32 @@ def contract_twins(gc: SimpleGraph) -> TwinPartition:
 
 
 def expand_root(h_root: Multigraph, map_h: VertexEdgeMap, tp: TwinPartition) -> RootResult:
-    """Undo the contraction on the root side: replicate each root edge by the
-    weight of its line vertex.
-
-    Replica k of h-vertex u's edge is assigned to the k-th smallest member of
-    u's class, so the final map is deterministic.  The expanded root has one
-    edge per vertex of the original graph.
+    """Undo the contraction on the root side: input vertex v gets root edge
+    v, a copy of the edge of v's class.  Each class's edge is thereby
+    replicated by the class weight, and the map is the identity.
     """
     if len(map_h) != tp.h.n_vertices:
         raise ValueError("map does not match the contracted graph")
-    n_gc = sum(tp.weights)
-    pairs: list[tuple[int, int]] = []
-    edge_of_vertex = [0] * n_gc
-    for u in range(tp.h.n_vertices):
-        e = h_root.edges[map_h.edge_of_vertex[u]]
-        for member in tp.classes[u]:
-            edge_of_vertex[member] = len(pairs)
-            pairs.append((e.u, e.v))
+    pairs = [h_root.edges[map_h.edge_of_vertex[c]].pair for c in tp.class_map]
     root = Multigraph.from_pairs(h_root.n_vertices, pairs)
-    vmap = VertexEdgeMap.from_edge_of_vertex(tuple(edge_of_vertex))
-    return RootResult(root, vmap)
+    return RootResult(root, VertexEdgeMap.identity(len(pairs)))
 
 
 def verify_root(gc: SimpleGraph, result: RootResult) -> bool:
-    """Exact check that ``result`` explains ``gc``: the root's line graph,
-    with edges renamed through the map, must equal ``gc`` edge for edge.
+    """Exact check that ``result`` explains ``gc``: the map must be the
+    identity and the root's line graph must equal ``gc`` edge for edge.
     Isomorphism is not enough here; the map has to be the certificate."""
-    root, vmap = result.root, result.map
-    if root.n_edges != gc.n_vertices or len(vmap) != gc.n_vertices:
+    if result.map != VertexEdgeMap.identity(gc.n_vertices):
         return False
-    lg = line_graph(root).graph
-    for e in range(root.n_edges):
-        v = vmap.vertex_of_edge[e]
-        mapped = frozenset(vmap.vertex_of_edge[f] for f in lg.adj[e])
-        if mapped != gc.adj[v]:
-            return False
-    return True
+    return line_graph(result.root).graph.adj == gc.adj
 
 
 def elehot(gc: SimpleGraph) -> RootResult:
     """Reconstruct a multigraph whose line graph is ``gc``.
 
     Contract twins, recognize the contracted graph as a simple line graph,
-    then expand multiplicities.  The result is verified before being returned.
+    then expand multiplicities.  Root edge v explains input vertex v, and the
+    result is verified before being returned.
     A rejection raises :class:`NotLineMultigraph`, which builds nothing until
     its witness is read.  Roots are not unique in general (a triangle is
     explained by three parallel edges and by a 3-star among others); this

@@ -5,7 +5,7 @@ Two graph representations are used throughout the package:
 * :class:`Multigraph` - a loop-free multigraph given as a vertex count plus an
   ordered list of edges.  Edge ids are dense (0..m-1) and stable, parallel
   edges are simply repeated endpoint pairs, and every edge carries a
-  non-negative rational weight (default 1).
+  non-negative weight, an ``int`` or a ``Fraction`` (default the int 1).
 * :class:`SimpleGraph` - an immutable simple graph stored as per-vertex
   neighbor sets.
 
@@ -14,8 +14,9 @@ serialize), exhaustive isomorphism and induced-subgraph search (intended for
 small graphs, where they double as test oracles), true-twin detection, unit
 disk graphs, and connected components.
 
-All arithmetic on weights is exact (int / fractions.Fraction); nothing in this
-module touches floating point except geometric_graph's distance test.
+Weights pass through unchanged: ints stay ints, and a ``Fraction`` appears
+only where the input is fractional (an edge-list weight column).  Nothing in
+this module touches floating point except geometric_graph's distance test.
 """
 
 from __future__ import annotations
@@ -44,18 +45,19 @@ class Edge(NamedTuple):
     id: int
     u: int
     v: int
-    weight: Fraction
+    weight: int | Fraction
 
     @property
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v)
 
 
-def _as_weight(value) -> Fraction:
-    w = Fraction(value)
-    if w < 0:
+def _as_weight(value) -> int | Fraction:
+    if not isinstance(value, (int, Fraction)):
+        raise ValueError(f"weight {value!r} is not an int or a Fraction")
+    if value < 0:
         raise ValueError(f"negative weight {value!r}")
-    return w
+    return value
 
 
 @dataclass(frozen=True)
@@ -92,11 +94,12 @@ class Multigraph:
         """Build a multigraph from endpoint pairs, assigning ids in order.
 
         Endpoints are normalized to (min, max); loops are rejected.  When
-        ``weights`` is omitted every edge gets weight 1.
+        ``weights`` is omitted every edge gets weight 1.  Weights must be
+        non-negative ints or Fractions and are kept as given.
         """
         pair_list = list(pairs)
         if weights is None:
-            weight_list = [Fraction(1)] * len(pair_list)
+            weight_list = [1] * len(pair_list)
         else:
             weight_list = [_as_weight(w) for w in weights]
             if len(weight_list) != len(pair_list):
@@ -239,16 +242,22 @@ class Embedding:
 # lines; weights accept integers, decimal notation, and p/q fractions.
 # ---------------------------------------------------------------------------
 
+# Largest vertex count a 'v' line may declare.  Graph views allocate per
+# vertex, so a one-line file must not be able to ask for more than this.
+MAX_VERTICES = 10**6
+
 
 def parse_graph(text: str) -> Multigraph:
     """Parse an edge-list document into a Multigraph.
 
-    Raises GraphFormatError (with the line number) on malformed lines,
-    endpoints out of range, loops, or negative weights.
+    Raises GraphFormatError (with the line number) on malformed lines, vertex
+    counts above MAX_VERTICES, endpoints out of range, loops, or negative
+    weights.  An edge without a weight column weighs the int 1; a weight
+    column is read as a Fraction.
     """
     n: int | None = None
     pairs: list[tuple[int, int]] = []
-    weights: list[Fraction] = []
+    weights: list[int | Fraction] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -266,6 +275,10 @@ def parse_graph(text: str) -> Multigraph:
                 raise GraphFormatError(f"bad vertex count {fields[1]!r}", line_no)
             if n < 0:
                 raise GraphFormatError("vertex count must be >= 0", line_no)
+            if n > MAX_VERTICES:
+                raise GraphFormatError(
+                    f"vertex count {n} is over the limit {MAX_VERTICES}", line_no
+                )
         elif tag == "e":
             if n is None:
                 raise GraphFormatError("edge line before the vertex-count line", line_no)
@@ -279,7 +292,7 @@ def parse_graph(text: str) -> Multigraph:
                 raise GraphFormatError(f"endpoint out of range in ({u},{v})", line_no)
             if u == v:
                 raise GraphFormatError(f"loop at vertex {u}", line_no)
-            w = Fraction(1)
+            w: int | Fraction = 1
             if len(fields) == 4:
                 try:
                     w = Fraction(fields[3])
@@ -296,10 +309,6 @@ def parse_graph(text: str) -> Multigraph:
     return Multigraph.from_pairs(n, pairs, weights)
 
 
-def _format_weight(w: Fraction) -> str:
-    return str(w)  # "5" for integers, "5/2" otherwise; both parse back exactly
-
-
 def serialize_graph(g: Multigraph) -> str:
     """Serialize to the edge-list format. parse_graph(serialize_graph(g)) == g."""
     lines = [f"v {g.n_vertices}"]
@@ -307,7 +316,7 @@ def serialize_graph(g: Multigraph) -> str:
         if e.weight == 1:
             lines.append(f"e {e.u} {e.v}")
         else:
-            lines.append(f"e {e.u} {e.v} {_format_weight(e.weight)}")
+            lines.append(f"e {e.u} {e.v} {e.weight}")  # "5" or "5/2": both parse back
     return "\n".join(lines) + "\n"
 
 

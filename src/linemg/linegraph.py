@@ -44,16 +44,6 @@ class VertexEdgeMap:
         ids = tuple(range(n))
         return VertexEdgeMap(ids, ids)
 
-    @staticmethod
-    def from_edge_of_vertex(edge_of_vertex: tuple[int, ...]) -> "VertexEdgeMap":
-        n = len(edge_of_vertex)
-        inverse = [-1] * n
-        for v, e in enumerate(edge_of_vertex):
-            if not (0 <= e < n) or inverse[e] != -1:
-                raise ValueError("map is not a bijection")
-            inverse[e] = v
-        return VertexEdgeMap(tuple(edge_of_vertex), tuple(inverse))
-
     def __len__(self) -> int:
         return len(self.edge_of_vertex)
 
@@ -155,7 +145,11 @@ def conflict_graph(network: Multigraph, hops: int) -> LineGraphResult:
 
 @dataclass(frozen=True)
 class RootResult:
-    """A reconstructed root multigraph plus the vertex<->edge correspondence."""
+    """A reconstructed root multigraph plus the vertex<->edge correspondence.
+
+    Both producers, ``recognize_line_graph`` and ``elehot``, return the
+    identity map: root edge v is line vertex v.
+    """
 
     root: Multigraph
     map: VertexEdgeMap

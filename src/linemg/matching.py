@@ -7,14 +7,15 @@ edge of each parallel class first.
 
 ``max_weight_matching`` is the production path (blossom algorithm via
 networkx, exact for integer weights; rational weights are scaled to integers
-and back, so the result stays exact).  ``brute_force_mwm`` and
+and back, so the result stays exact).  Weights are used as given: totals are
+ints for int weights and Fractions otherwise.  ``brute_force_mwm`` and
 ``brute_force_mwis`` are independent exhaustive oracles used to check it and
 the scheduler; both resolve weight ties deterministically by preferring the
 smallest ids, greedily: a vertex or edge is taken whenever some optimum
 extends the choices made so far.
 
 Weighted edges ride on :class:`~linemg.graphcore.Multigraph` (every edge has
-a rational weight); the matching entry points require the graph to be
+an int or Fraction weight); the matching entry points require the graph to be
 parallel-free so that edge ids and endpoint pairs identify each other.
 """
 
@@ -33,7 +34,7 @@ class Matching:
     """A set of pairwise vertex-disjoint edge ids and its total weight."""
 
     edges: frozenset[int]
-    weight: Fraction
+    weight: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,12 @@ def _require_simple(g: Multigraph) -> None:
 def max_weight_matching(g: Multigraph) -> Matching:
     """Maximum weight matching of a parallel-free multigraph, exactly.
 
-    Rational weights are put over a common denominator so the blossom solver
-    only ever sees integers, for which it is exact.
+    Weights are put over a common denominator (1 when all are ints) so the
+    blossom solver only ever sees integers, for which it is exact.
     """
     _require_simple(g)
     if g.n_edges == 0:
-        return Matching(frozenset(), Fraction(0))
+        return Matching(frozenset(), 0)
     if g.n_edges == 1:
         e = g.edges[0]
         return Matching(frozenset({e.id}), e.weight)
@@ -90,7 +91,7 @@ def max_weight_matching(g: Multigraph) -> Matching:
         graph.add_edge(e.u, e.v, weight=int(e.weight * scale), eid=e.id)
     mate = nx.max_weight_matching(graph, maxcardinality=False)
     ids = frozenset(graph.edges[u, v]["eid"] for u, v in mate)
-    weight = sum((g.edges[i].weight for i in ids), Fraction(0))
+    weight = sum(g.edges[i].weight for i in ids)
     return Matching(ids, weight)
 
 
@@ -106,14 +107,14 @@ def brute_force_mwm(g: Multigraph) -> Matching:
         raise ValueError("brute-force matching accepts at most 24 edges")
     edges = g.edges
     vbit = [(1 << e.u) | (1 << e.v) for e in edges]
-    suffix_weight = [Fraction(0)] * (m + 1)
+    suffix_weight = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix_weight[i] = suffix_weight[i + 1] + edges[i].weight
 
-    def best_from(start: int, used: int) -> Fraction:
-        best = Fraction(0)
+    def best_from(start: int, used: int):
+        best = 0
 
-        def dfs(i: int, used: int, acc: Fraction) -> None:
+        def dfs(i: int, used: int, acc) -> None:
             nonlocal best
             if acc > best:
                 best = acc
@@ -123,13 +124,13 @@ def brute_force_mwm(g: Multigraph) -> Matching:
                 dfs(i + 1, used | vbit[i], acc + edges[i].weight)
             dfs(i + 1, used, acc)
 
-        dfs(start, used, Fraction(0))
+        dfs(start, used, 0)
         return best
 
     target = best_from(0, 0)
     chosen: list[int] = []
     used = 0
-    acc = Fraction(0)
+    acc = 0
     for i in range(m):
         if vbit[i] & used:
             continue
@@ -142,7 +143,7 @@ def brute_force_mwm(g: Multigraph) -> Matching:
 
 def brute_force_mwis(
     g: SimpleGraph, weights: Sequence | None = None
-) -> tuple[tuple[int, ...], Fraction]:
+) -> tuple[tuple[int, ...], int | Fraction]:
     """Exhaustive maximum weight independent set (at most 25 vertices).
 
     Weights default to all ones.  Returns (vertices ascending, total weight).
@@ -154,7 +155,7 @@ def brute_force_mwis(
         raise ValueError("brute-force independent set accepts at most 25 vertices")
     if weights is None:
         weights = [1] * n
-    w = [Fraction(x) for x in weights]
+    w = list(weights)
     if len(w) != n:
         raise ValueError("weights length mismatch")
     if any(x < 0 for x in w):
@@ -165,31 +166,31 @@ def brute_force_mwis(
         for u in g.adj[v]:
             closed[v] |= 1 << u
 
-    def live_weight(mask: int) -> Fraction:
-        total = Fraction(0)
+    def live_weight(mask: int):
+        total = 0
         while mask:
             v = (mask & -mask).bit_length() - 1
             mask &= mask - 1
             total += w[v]
         return total
 
-    def max_weight(mask: int) -> Fraction:
+    def max_weight(mask: int):
         # greedy lower bound: first-fit by ascending id
-        best = Fraction(0)
+        best = 0
         m0 = mask
         while m0:
             v = (m0 & -m0).bit_length() - 1
             best += w[v]
             m0 &= ~closed[v]
 
-        def dfs(mask: int, acc: Fraction, remaining: Fraction) -> None:
+        def dfs(mask: int, acc, remaining) -> None:
             nonlocal best
             if acc > best:
                 best = acc
             if not mask or acc + remaining <= best:
                 return
             live = mask
-            pick, pick_w = -1, Fraction(-1)
+            pick, pick_w = -1, -1
             while live:
                 v = (live & -live).bit_length() - 1
                 live &= live - 1
@@ -202,13 +203,13 @@ def brute_force_mwis(
             )
             dfs(mask & ~(1 << pick), acc, remaining - pick_w)
 
-        dfs(mask, Fraction(0), live_weight(mask))
+        dfs(mask, 0, live_weight(mask))
         return best
 
     full = (1 << n) - 1
     target = max_weight(full)
     chosen: list[int] = []
-    acc = Fraction(0)
+    acc = 0
     avail = full
     for v in range(n):
         if not (avail >> v) & 1:

@@ -8,15 +8,16 @@ queue lengths as vertex weights.  Three interchangeable schedulers:
   graph of a multigraph, its independent sets are matchings of the
   reconstructed root, so each slot reduces to one blossom call.
 * ``EXACT_MWIS`` - brute force on the conflict graph, exact but exponential;
-  the fallback for small conflict graphs that are not line multigraphs.
+  the fallback for conflict graphs of at most ``EXACT_LIMIT`` links that are
+  not line multigraphs.
 * ``GREEDY`` - heaviest-vertex-first greedy, the only choice left for large
   irregular conflict graphs.
 
 ``build_pipeline`` picks between them (policy "auto"), ``schedule_slot``
 computes one slot's schedule, and ``simulate`` runs Bernoulli arrivals
 against the schedule for a fixed number of slots, deterministically for a
-given seed.  Queues are plain integers and all scheduling arithmetic is
-exact.
+given seed.  Queues are plain integers and stay integers through every
+scheduler, so all scheduling arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ GREEDY = "GREEDY"
 
 _POLICIES = ("auto", "root", "exact", "greedy")
 
+# Largest conflict graph (in links) that EXACT_MWIS will take; brute_force_mwis
+# accepts at most this many vertices.
+EXACT_LIMIT = 25
+
 
 @dataclass(frozen=True)
 class Pipeline:
@@ -51,7 +56,6 @@ class Pipeline:
     conflict: LineGraphResult
     mode: str
     root: RootResult | None
-    exact_limit: int
 
 
 @dataclass(frozen=True)
@@ -78,19 +82,16 @@ def build_pipeline(
     network: Multigraph,
     hops: int,
     policy: str = "auto",
-    exact_limit: int = 25,
 ) -> Pipeline:
     """Construct the conflict graph and choose a scheduler.
 
     Policy "auto" prefers ROOT_MWM (conflict graph explained by a root
     multigraph), falls back to EXACT_MWIS when the conflict graph has at most
-    ``exact_limit`` vertices, and to GREEDY beyond that.  Policies "root",
+    ``EXACT_LIMIT`` vertices, and to GREEDY beyond that.  Policies "root",
     "exact", and "greedy" force a mode; forcing an impossible one raises.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if not 0 <= exact_limit <= 25:
-        raise ValueError("exact_limit must be between 0 and 25")
     gc = conflict_graph(network, hops)
     n = gc.graph.n_vertices
 
@@ -102,16 +103,16 @@ def build_pipeline(
         except NotLineMultigraph:
             if policy == "root":
                 raise
-            mode = EXACT_MWIS if n <= exact_limit else GREEDY
+            mode = EXACT_MWIS if n <= EXACT_LIMIT else GREEDY
     elif policy == "exact":
-        if n > exact_limit:
+        if n > EXACT_LIMIT:
             raise ValueError(
-                f"conflict graph has {n} vertices, over the exact limit {exact_limit}"
+                f"conflict graph has {n} vertices, over the exact limit {EXACT_LIMIT}"
             )
         mode = EXACT_MWIS
     else:
         mode = GREEDY
-    return Pipeline(network, hops, gc, mode, root, exact_limit)
+    return Pipeline(network, hops, gc, mode, root)
 
 
 def _as_count(q) -> int:
@@ -140,21 +141,21 @@ def _normalize_weights(p: Pipeline, queues) -> list[int]:
 
 def greedy_mwis(
     g: SimpleGraph, weights: Sequence | None = None
-) -> tuple[tuple[int, ...], Fraction]:
+) -> tuple[tuple[int, ...], int | Fraction]:
     """Heaviest-first greedy independent set: take the maximum-weight vertex
     (smallest id on ties), drop its closed neighborhood, repeat.  A fast
-    heuristic with no optimality guarantee."""
+    heuristic with no optimality guarantee.  Weights are used as given."""
     n = g.n_vertices
     if weights is None:
         weights = [1] * n
-    w = [Fraction(x) for x in weights]
+    w = list(weights)
     if len(w) != n:
         raise ValueError("weights length mismatch")
     alive = set(range(n))
     chosen: list[int] = []
-    total = Fraction(0)
+    total = 0
     while alive:
-        v = max(sorted(alive), key=lambda x: w[x])  # max keeps first = smallest id
+        v = min(alive, key=lambda x: (-w[x], x))
         chosen.append(v)
         total += w[v]
         alive -= g.adj[v] | {v}
@@ -171,17 +172,11 @@ def schedule_slot(p: Pipeline, queues) -> tuple[int, ...]:
     w = _normalize_weights(p, queues)
     if p.mode == ROOT_MWM:
         assert p.root is not None
-        root, vmap = p.root.root, p.root.map
-        weighted = Multigraph.from_pairs(
-            root.n_vertices,
-            [e.pair for e in root.edges],
-            [w[vmap.vertex_of_edge[e.id]] for e in root.edges],
-        )
+        root = p.root.root  # root edge v is link v
+        weighted = Multigraph.from_pairs(root.n_vertices, [e.pair for e in root.edges], w)
         reduction = reduce_multigraph(weighted)
         matching = max_weight_matching(reduction.simple)
-        links = [
-            vmap.vertex_of_edge[reduction.survivor[i]] for i in matching.edges
-        ]
+        links = [reduction.survivor[i] for i in matching.edges]
     elif p.mode == EXACT_MWIS:
         links, _ = brute_force_mwis(p.conflict.graph, w)
     else:

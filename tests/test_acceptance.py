@@ -19,6 +19,7 @@ from linemg import (
     NotLineGraph,
     NotLineMultigraph,
     SimpleGraph,
+    VertexEdgeMap,
     brute_force_mwis,
     brute_force_mwm,
     build_pipeline,
@@ -127,7 +128,9 @@ def test_criterion_04_root_reconstruction_round_trip(capfd):
         r = random_multigraph(rng, max_n=12, max_m=30)
         gc = line_graph(r).graph
         try:
-            ok &= verify_root(gc, elehot(gc))
+            result = elehot(gc)
+            ok &= verify_root(gc, result)
+            ok &= result.map == VertexEdgeMap.identity(gc.n_vertices)
         except NotLineMultigraph:
             ok = False
     elapsed = time.perf_counter() - t0

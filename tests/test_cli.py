@@ -65,6 +65,14 @@ def test_recognize_bad_file_is_usage_error(files):
     assert "error" in proc.stderr
 
 
+def test_recognize_hostile_vertex_count_is_usage_error(files):
+    _, write = files
+    huge = write("huge.txt", "v 1000000000000\n")
+    proc = run("recognize", huge)
+    assert proc.returncode == 2
+    assert "limit" in proc.stderr
+
+
 def test_root_writes_graph_and_map(files):
     tmp, write = files
     diamond = write("d.txt", "v 4\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\n")
@@ -76,9 +84,8 @@ def test_root_writes_graph_and_map(files):
     map_lines = (tmp / "root.txt.map.csv").read_text().splitlines()
     assert map_lines[0] == "gc_vertex,root_edge"
     assert len(map_lines) == 5
-    # the map rows must pair every conflict vertex with a distinct root edge
-    edges = sorted(int(line.split(",")[1]) for line in map_lines[1:])
-    assert edges == [0, 1, 2, 3]
+    # root edge v explains conflict vertex v
+    assert map_lines[1:] == [f"{v},{v}" for v in range(4)]
 
 
 def test_root_failure_exits_one(files):

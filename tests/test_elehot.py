@@ -12,6 +12,7 @@ from linemg import (
     Multigraph,
     NotLineMultigraph,
     SimpleGraph,
+    VertexEdgeMap,
     contract_twins,
     elehot,
     expand_root,
@@ -105,6 +106,24 @@ def test_verify_root_rejects_wrong_candidate():
         ),
     )
     assert not verify_root(DIAMOND, wrong)
+    # the identity map over a root whose edges 0 and 2 trade places: must fail
+    pairs = [e.pair for e in result.root.edges]
+    pairs[0], pairs[2] = pairs[2], pairs[0]
+    swapped = type(result)(
+        Multigraph.from_pairs(result.root.n_vertices, pairs), result.map
+    )
+    assert not verify_root(DIAMOND, swapped)
+
+
+def test_expand_gives_root_edge_v_to_vertex_v():
+    # twins 0 and 2 around vertex 1: class order (0, 2), (1), (3) is not
+    # vertex order, yet root edge v must still explain vertex v
+    g = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
+    result = elehot(g)
+    assert result.map == VertexEdgeMap.identity(4)
+    edges = result.root.edges
+    assert edges[0].pair == edges[2].pair != edges[1].pair
+    assert line_graph(result.root).graph.adj == g.adj
 
 
 # ----------------------------------------------------------------- pipeline

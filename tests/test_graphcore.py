@@ -23,6 +23,7 @@ from linemg import (
     serialize_graph,
     true_twin_classes,
 )
+from linemg.graphcore import MAX_VERTICES
 from tests.helpers import random_multigraph, random_simple_graph
 
 
@@ -45,6 +46,16 @@ def test_multigraph_rejects_loops_and_bad_endpoints():
         Multigraph.from_pairs(2, [(0, 1)], [Fraction(-1)])
     with pytest.raises(ValueError):
         Multigraph.from_pairs(2, [(0, 1)], [1, 2])
+
+
+def test_weights_pass_through_unchanged():
+    g = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+    assert [type(e.weight) for e in g.edges] == [int, int]
+    g = Multigraph.from_pairs(3, [(0, 1), (1, 2)], [4, Fraction(1, 3)])
+    assert [type(e.weight) for e in g.edges] == [int, Fraction]
+    for bad in (0.5, "1/3"):
+        with pytest.raises(ValueError):
+            Multigraph.from_pairs(2, [(0, 1)], [bad])
 
 
 def test_degree_counts_parallel_edges():
@@ -113,6 +124,17 @@ def test_parse_basic_file():
 def test_parse_rejects_malformed(text):
     with pytest.raises(GraphFormatError):
         parse_graph(text)
+
+
+def test_parse_unit_weight_is_int():
+    assert type(parse_graph("v 2\ne 0 1\n").edges[0].weight) is int
+
+
+def test_parse_vertex_count_limit():
+    assert parse_graph(f"v {MAX_VERTICES}\n").n_vertices == MAX_VERTICES
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(f"# hostile\nv {MAX_VERTICES + 1}\n")
+    assert err.value.line_no == 2
 
 
 def test_format_error_reports_line_number():

@@ -72,6 +72,12 @@ def test_mwm_handles_fractional_weights():
     assert m.weight == Fraction(1, 3) + Fraction(1, 4)
 
 
+def test_mwm_totals_stay_int_for_int_weights():
+    g = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3)], [3, 1, 2])
+    for m in (max_weight_matching(g), brute_force_mwm(g)):
+        assert m.weight == 5 and type(m.weight) is int
+
+
 def test_mwm_empty_and_single():
     assert max_weight_matching(Multigraph.from_pairs(3, [])).weight == 0
     single = max_weight_matching(weighted([(0, 1)], [7], 2))

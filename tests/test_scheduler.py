@@ -19,6 +19,7 @@ from linemg import (
 )
 from linemg import forbidden
 from linemg.scheduler import (
+    EXACT_LIMIT,
     read_vector_csv,
     write_slots_csv,
     write_slots_jsonl,
@@ -32,6 +33,10 @@ STAR = Multigraph.from_pairs(4, [(0, 3), (1, 3), (2, 3)])
 # contains a claw (the three outer links all conflict with any inner link
 # but not with each other), so the root route is unavailable
 SPIDER = Multigraph.from_pairs(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+# the same shape with 13 legs: 26 links, one more than EXACT_LIMIT
+SPIDER13 = Multigraph.from_pairs(
+    27, [pair for k in range(13) for pair in ((0, 2 * k + 1), (2 * k + 1, 2 * k + 2))]
+)
 
 
 # ----------------------------------------------------------------- pipeline
@@ -57,7 +62,8 @@ def test_pipeline_spider_falls_back_to_exact():
 
 
 def test_pipeline_greedy_fallback_beyond_exact_limit():
-    p = build_pipeline(SPIDER, 2, exact_limit=3)
+    assert SPIDER13.n_edges == EXACT_LIMIT + 1
+    p = build_pipeline(SPIDER13, 2)
     assert p.mode == GREEDY
 
 
@@ -67,7 +73,7 @@ def test_pipeline_fallback_builds_no_witness(monkeypatch):
 
     monkeypatch.setattr(forbidden, "find_induced", boom)
     monkeypatch.setattr(forbidden, "load_catalog", boom)
-    assert build_pipeline(SPIDER, 2, exact_limit=3).mode == GREEDY
+    assert build_pipeline(SPIDER13, 2).mode == GREEDY
 
 
 def test_pipeline_forced_policies():
@@ -78,9 +84,7 @@ def test_pipeline_forced_policies():
     with pytest.raises(ValueError):
         build_pipeline(P4, 1, policy="bogus")
     with pytest.raises(ValueError):
-        build_pipeline(P4, 1, exact_limit=26)
-    with pytest.raises(ValueError):
-        build_pipeline(SPIDER, 2, policy="exact", exact_limit=3)
+        build_pipeline(SPIDER13, 2, policy="exact")
 
 
 # ------------------------------------------------------------ schedule_slot
@@ -152,6 +156,17 @@ def test_greedy_tie_breaks_toward_smallest_id():
     p3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
     chosen, _ = greedy_mwis(p3, [2, 2, 2])
     assert chosen == (0, 2)
+    claw = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    assert greedy_mwis(claw, [1, 1, 1, 1])[0] == (0,)
+
+
+def test_independent_set_totals_stay_int_for_int_weights():
+    p3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+    for solver in (greedy_mwis, brute_force_mwis):
+        _, total = solver(p3, [3, 4, 3])
+        assert type(total) is int
+        _, total = solver(p3, [Fraction(3, 2), 1, 1])
+        assert total == Fraction(5, 2)
 
 
 # ---------------------------------------------------------------- simulator
