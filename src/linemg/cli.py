@@ -240,7 +240,10 @@ def cmd_mwis(args) -> int:
         weights = [vector.get(v, 0) for v in range(simple.n_vertices)]
     else:
         weights = [1] * simple.n_vertices
-    chosen, weight = brute_force_mwis(simple, weights)
+    try:
+        chosen, weight = brute_force_mwis(simple, weights)
+    except ValueError as exc:  # a negative weight
+        raise UsageError(f"{args.weights}: {exc}") from exc
     print(f"vertices: {' '.join(str(v) for v in sorted(chosen))}")
     print(f"weight: {weight}")
     return 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .graphcore import Embedding, Multigraph, SimpleGraph, bfs_distances
+from .graphcore import Embedding, Multigraph, SimpleGraph
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,25 @@ def graph_power(g: SimpleGraph, t: int) -> SimpleGraph:
         raise ValueError("power must be >= 1")
     if t == 1:
         return g
-    nbrs: list[set[int]] = [set() for _ in range(g.n_vertices)]
+    adj = g.adj
+    nbrs: list[frozenset[int]] = []
     for v in range(g.n_vertices):
-        dist = bfs_distances(g, v)
-        for u in range(g.n_vertices):
-            if u != v and dist[u] <= t:
-                nbrs[v].add(u)
-    return SimpleGraph(tuple(frozenset(s) for s in nbrs))
+        # breadth-first search from v, stopped after t levels
+        seen = {v}
+        frontier = [v]
+        for _ in range(t):
+            reached = []
+            for x in frontier:
+                for u in adj[x]:
+                    if u not in seen:
+                        seen.add(u)
+                        reached.append(u)
+            if not reached:
+                break
+            frontier = reached
+        seen.discard(v)
+        nbrs.append(frozenset(seen))
+    return SimpleGraph(tuple(nbrs))
 
 
 def conflict_graph(network: Multigraph, hops: int) -> LineGraphResult:

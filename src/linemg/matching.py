@@ -8,11 +8,14 @@ edge of each parallel class first.
 ``max_weight_matching`` is the production path (blossom algorithm via
 networkx, exact for integer weights; rational weights are scaled to integers
 and back, so the result stays exact).  Weights are used as given: totals are
-ints for int weights and Fractions otherwise.  ``brute_force_mwm`` and
-``brute_force_mwis`` are independent exhaustive oracles used to check it and
-the scheduler; both resolve weight ties deterministically by preferring the
-smallest ids, greedily: a vertex or edge is taken whenever some optimum
-extends the choices made so far.
+ints for int weights and Fractions otherwise.  Blossom sees only the edges
+and the vertices they touch, so its cost grows with the edges passed in, not
+with ``n_vertices``: the scheduler passes only a root's non-empty links.
+
+``brute_force_mwm`` and ``brute_force_mwis`` are independent exhaustive
+oracles used to check it and the scheduler; both resolve weight ties
+deterministically by preferring the smallest ids, greedily: a vertex or edge
+is taken whenever some optimum extends the choices made so far.
 
 Weighted edges ride on :class:`~linemg.graphcore.Multigraph` (every edge has
 an int or Fraction weight); the matching entry points require the graph to be
@@ -86,7 +89,8 @@ def max_weight_matching(g: Multigraph) -> Matching:
 
     scale = lcm(*(e.weight.denominator for e in g.edges))
     graph = nx.Graph()
-    graph.add_nodes_from(range(g.n_vertices))
+    # blossom breaks weight ties by node insertion order: insert ascending
+    graph.add_nodes_from(sorted({x for e in g.edges for x in e.pair}))
     for e in g.edges:
         graph.add_edge(e.u, e.v, weight=int(e.weight * scale), eid=e.id)
     mate = nx.max_weight_matching(graph, maxcardinality=False)

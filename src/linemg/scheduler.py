@@ -6,7 +6,10 @@ queue lengths as vertex weights.  Three interchangeable schedulers:
 
 * ``ROOT_MWM`` - the polynomial path: when the conflict graph is the line
   graph of a multigraph, its independent sets are matchings of the
-  reconstructed root, so each slot reduces to one blossom call.
+  reconstructed root, so each slot reduces to one blossom call.  The call
+  sees only the root edges whose queues are non-empty (an empty link adds
+  nothing and is never served), so a slot's cost grows with the number of
+  non-empty links, not with the size of the root.
 * ``EXACT_MWIS`` - brute force on the conflict graph, exact but exponential;
   the fallback for conflict graphs of at most ``EXACT_LIMIT`` links that are
   not line multigraphs.
@@ -49,13 +52,19 @@ EXACT_LIMIT = 25
 @dataclass(frozen=True)
 class Pipeline:
     """Everything needed to schedule one network: the conflict graph, the
-    chosen scheduler mode, and (for ROOT_MWM) the reconstructed root."""
+    chosen scheduler mode, and (for ROOT_MWM) the reconstructed root.
+
+    ``rejection`` is the ``NotLineMultigraph`` that ruled ROOT_MWM out under
+    policy "auto"; its ``.witness`` names a catalog entry induced in the
+    conflict graph and is built only when read.  It is None when ROOT_MWM was
+    chosen or never tried (a forced "exact" or "greedy" policy)."""
 
     network: Multigraph
     hops: int
     conflict: LineGraphResult
     mode: str
     root: RootResult | None
+    rejection: NotLineMultigraph | None
 
 
 @dataclass(frozen=True)
@@ -96,13 +105,18 @@ def build_pipeline(
     n = gc.graph.n_vertices
 
     root: RootResult | None = None
+    rejection: NotLineMultigraph | None = None
     if policy in ("auto", "root"):
         try:
             root = elehot(gc.graph)
             mode = ROOT_MWM
-        except NotLineMultigraph:
+        except NotLineMultigraph as exc:
             if policy == "root":
                 raise
+            # kept without traceback and context: their frames would hold
+            # the recognizer's state and a reference cycle through this one
+            rejection = exc.with_traceback(None)
+            rejection.__context__ = None
             mode = EXACT_MWIS if n <= EXACT_LIMIT else GREEDY
     elif policy == "exact":
         if n > EXACT_LIMIT:
@@ -112,7 +126,7 @@ def build_pipeline(
         mode = EXACT_MWIS
     else:
         mode = GREEDY
-    return Pipeline(network, hops, gc, mode, root)
+    return Pipeline(network, hops, gc, mode, root, rejection)
 
 
 def _as_count(q) -> int:
@@ -173,10 +187,13 @@ def schedule_slot(p: Pipeline, queues) -> tuple[int, ...]:
     if p.mode == ROOT_MWM:
         assert p.root is not None
         root = p.root.root  # root edge v is link v
-        weighted = Multigraph.from_pairs(root.n_vertices, [e.pair for e in root.edges], w)
+        live = [e.id for e in root.edges if w[e.id] > 0]  # empty links never help
+        weighted = Multigraph.from_pairs(
+            root.n_vertices, [root.edges[link].pair for link in live], [w[link] for link in live]
+        )
         reduction = reduce_multigraph(weighted)
         matching = max_weight_matching(reduction.simple)
-        links = [reduction.survivor[i] for i in matching.edges]
+        links = [live[reduction.survivor[i]] for i in matching.edges]
     elif p.mode == EXACT_MWIS:
         links, _ = brute_force_mwis(p.conflict.graph, w)
     else:

@@ -172,6 +172,16 @@ def test_mwm_and_mwis(files):
     assert ones.stdout == "vertices: 0 2\nweight: 2\n"
 
 
+def test_mwis_negative_weight_is_usage_error(files):
+    _, write = files
+    p3 = write("p3.txt", "v 3\ne 0 1\ne 1 2\n")
+    neg = write("neg.csv", "link_id,value\n0,-1\n")
+    proc = run("mwis", p3, "--weights", neg)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "non-negative" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_schedule_spec_example(files):
     _, write = files
     p4 = write("p4.txt", "v 4\ne 0 1\ne 1 2\ne 2 3\n")

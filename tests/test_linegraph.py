@@ -14,6 +14,7 @@ from linemg import (
     NotLineGraph,
     SimpleGraph,
     VertexEdgeMap,
+    bfs_distances,
     conflict_graph,
     enumerate_connected,
     graph_power,
@@ -88,6 +89,23 @@ def test_graph_power_identity_and_growth():
     assert cube.n_edges == 6  # K4
     with pytest.raises(ValueError):
         graph_power(p4, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_graph_power_matches_bfs_distance_definition(seed):
+    # sparse parts give long shortest paths; several parts, a disconnected graph
+    rng = random.Random(seed)
+    g = SimpleGraph(())
+    for _ in range(rng.randint(1, 3)):
+        part = random_simple_graph(rng, rng.randint(1, 10), rng.choice((0.15, 0.3, 0.6)))
+        g = _disjoint_union(g, part)
+    for t in range(1, 5):
+        expected = tuple(
+            frozenset(u for u, d in enumerate(bfs_distances(g, v)) if 1 <= d <= t)
+            for v in range(g.n_vertices)
+        )
+        assert graph_power(g, t).adj == expected
 
 
 def test_conflict_graph_examples():

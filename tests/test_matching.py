@@ -100,6 +100,21 @@ def test_mwm_on_odd_cycle_blossom_case():
 # ------------------------------------------------------------ brute oracles
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 100_000))
+def test_mwm_with_isolated_vertices_matches_brute(seed):
+    # edges on a random few of up to 14 vertices; the rest stay isolated
+    rng = random.Random(seed)
+    n = rng.randint(2, 14)
+    active = rng.sample(range(n), rng.randint(2, min(n, 7)))
+    pairs = sorted({tuple(sorted(rng.sample(active, 2))) for _ in range(rng.randint(1, 10))})
+    g = Multigraph.from_pairs(n, pairs, [rng.randint(0, 6) for _ in pairs])
+    exact = max_weight_matching(g)
+    assert exact.weight == brute_force_mwm(g).weight
+    ends = [x for i in exact.edges for x in g.edges[i].pair]
+    assert len(ends) == len(set(ends))
+
+
 def test_brute_mwm_limits():
     big = Multigraph.from_pairs(26, [(i, i + 1) for i in range(0, 25)])
     assert big.n_edges == 25

@@ -1,19 +1,24 @@
 """Pipeline construction, per-slot scheduling, the simulator, and CSV I/O."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linemg import (
     EXACT_MWIS,
     GREEDY,
     ROOT_MWM,
     Multigraph,
+    NotLineMultigraph,
     SimpleGraph,
     brute_force_mwis,
     build_pipeline,
     greedy_mwis,
+    load_catalog,
     schedule_slot,
     simulate,
 )
@@ -26,6 +31,7 @@ from linemg.scheduler import (
     write_summary_csv,
     write_vector_csv,
 )
+from tests.helpers import is_induced_at, random_multigraph
 
 P4 = Multigraph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
 STAR = Multigraph.from_pairs(4, [(0, 3), (1, 3), (2, 3)])
@@ -74,6 +80,31 @@ def test_pipeline_fallback_builds_no_witness(monkeypatch):
     monkeypatch.setattr(forbidden, "find_induced", boom)
     monkeypatch.setattr(forbidden, "load_catalog", boom)
     assert build_pipeline(SPIDER13, 2).mode == GREEDY
+
+
+def test_pipeline_records_why_root_was_ruled_out():
+    assert build_pipeline(P4, 1).rejection is None
+    assert build_pipeline(SPIDER, 2, policy="exact").rejection is None
+    p = build_pipeline(SPIDER, 2)
+    assert isinstance(p.rejection, NotLineMultigraph)
+    w = p.rejection.witness
+    entries = {e.name: e.graph for e in load_catalog("multigraph7").entries}
+    assert w.pattern == entries[w.name]
+    assert is_induced_at(p.conflict.graph, w.pattern, w.embedding.mapping)
+
+
+def test_pipeline_rejection_leaves_no_reference_cycle():
+    # a caught exception keeps frames (and through them itself) alive
+    build_pipeline(SPIDER13, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        p = build_pipeline(SPIDER13, 2)
+        assert p.rejection is not None
+        del p
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pipeline_forced_policies():
@@ -131,6 +162,55 @@ def test_schedule_result_is_independent_in_conflict_graph():
                 for b in chosen:
                     if a != b:
                         assert b not in gc.adj[a]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 100_000))
+def test_root_schedule_on_sparse_queues_is_a_maximum_weight_matching(seed):
+    # random multigraph networks (parallel links, isolated nodes) with mostly
+    # empty queues and many tied values; brute_force_mwis is the oracle
+    rng = random.Random(seed)
+    net = random_multigraph(rng, max_n=10, max_m=14, min_m=1)
+    for hops in (1, 2):
+        p = build_pipeline(net, hops)
+        if p.mode != ROOT_MWM:
+            continue
+        root = p.root.root
+        for _ in range(4):
+            q = [rng.choice((1, 2, 2)) if rng.random() < 0.3 else 0 for _ in range(net.n_edges)]
+            chosen = schedule_slot(p, q)
+            assert all(q[link] > 0 for link in chosen)
+            ends = [x for link in chosen for x in root.edges[link].pair]
+            assert len(ends) == len(set(ends))
+            _, best = brute_force_mwis(p.conflict.graph, q)
+            assert sum(q[link] for link in chosen) == best
+
+
+# Recorded from a matching over the whole root (every link, empty or not,
+# handed to blossom), so dropping empty links must not move a tie-break: 29
+# of these 40 slots have more than one maximum-weight schedule.
+PINNED_NETWORK = Multigraph.from_pairs(
+    9,
+    [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (1, 3),
+     (3, 4), (4, 5), (5, 6), (6, 4), (4, 5), (6, 7)],
+)
+PINNED_SCHEDULES = [
+    (), (2, 7), (1, 6, 11), (0, 3, 10), (5, 9), (1, 6, 8), (2, 4, 7, 11),
+    (0, 6, 8), (0, 3, 7, 11), (0, 3, 10, 11), (1, 3, 9), (0, 6, 8), (2, 4, 10),
+    (5, 9), (1, 3, 9), (2, 4, 8), (1, 6, 8), (0, 6, 8), (5, 10, 11), (5, 7, 11),
+    (2, 4, 10), (0, 3, 9), (5, 10, 11), (1, 6, 8), (5, 9), (0, 3, 7),
+    (2, 4, 10, 11), (5, 10, 11), (0, 6, 8), (2, 4, 9), (1, 3, 9), (5, 7, 11),
+    (0, 6, 8), (2, 4, 7), (0, 6, 8), (1, 3, 10), (5, 7, 11), (2, 4, 10, 11),
+    (5, 9), (1, 3, 7, 11),
+]
+
+
+def test_simulate_pins_tied_schedules():
+    p = build_pipeline(PINNED_NETWORK, 1)
+    assert p.mode == ROOT_MWM
+    log = simulate(p, [0.4] * PINNED_NETWORK.n_edges, 40, seed=2024)
+    assert [r.scheduled for r in log.records] == PINNED_SCHEDULES
+    assert log.final_queues == (5, 6, 4, 5, 8, 9, 9, 8, 5, 8, 9, 0)
 
 
 def test_root_and_exact_modes_agree_on_weight():
