@@ -22,7 +22,6 @@ header ``link_id,value``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -44,20 +43,6 @@ from .scheduler import (
 
 class UsageError(Exception):
     """Bad flags or malformed input; maps to exit code 2."""
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get("LINEMG_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"LINEMG_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"LINEMG_THREADS must be a positive integer, got {raw!r}")
-    # All library routines are currently single-threaded, so any positive cap
-    # is already respected; the variable is validated so typos fail loudly.
 
 
 def _load_graph(path: str) -> Multigraph:
@@ -99,6 +84,16 @@ def _write_map(out: str, header: str, rows: list[tuple[int, int]]) -> str:
         for a, b in rows:
             fh.write(f"{a},{b}\n")
     return map_path
+
+
+def _decimal(value) -> str:
+    """``str(value)``, with a number past the interpreter's limit on digits
+    converted to text reported as an input error instead of a crash."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise UsageError(f"result has more than {limit} digits") from exc
 
 
 def _multiplicity_histogram(g: Multigraph) -> str:
@@ -219,8 +214,9 @@ def cmd_mwm(args) -> int:
     reduction = reduce_multigraph(g)
     matching = max_weight_matching(reduction.simple)
     chosen = sorted(reduction.survivor[i] for i in matching.edges)
+    weight = _decimal(matching.weight)
     print(f"edges: {' '.join(str(e) for e in chosen)}")
-    print(f"weight: {matching.weight}")
+    print(f"weight: {weight}")
     return 0
 
 
@@ -244,6 +240,7 @@ def cmd_mwis(args) -> int:
         chosen, weight = brute_force_mwis(simple, weights)
     except ValueError as exc:  # a negative weight
         raise UsageError(f"{args.weights}: {exc}") from exc
+    weight = _decimal(weight)
     print(f"vertices: {' '.join(str(v) for v in sorted(chosen))}")
     print(f"weight: {weight}")
     return 0
@@ -259,7 +256,7 @@ def cmd_schedule(args) -> int:
         links = schedule_slot(pipeline, queues)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    weight = sum(queues[link] for link in links)
+    weight = _decimal(sum(queues[link] for link in links))
     print(f"links: {' '.join(str(link) for link in links)}")
     print(f"weight: {weight}")
     print(f"mode: {pipeline.mode}")
@@ -276,7 +273,7 @@ def cmd_simulate(args) -> int:
     unknown = set(vector) - set(range(network.n_edges))
     if unknown:
         raise UsageError(f"rate rows for unknown links: {sorted(unknown)}")
-    rates = [float(vector.get(link, 0)) for link in range(network.n_edges)]
+    rates = [vector.get(link, 0) for link in range(network.n_edges)]
     try:
         pipeline = build_pipeline(network, args.hops, policy=args.policy)
         log = simulate(pipeline, rates, args.slots, args.seed)
@@ -393,7 +390,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads_env()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

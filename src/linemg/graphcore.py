@@ -22,6 +22,7 @@ this module touches floating point except geometric_graph's distance test.
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,6 +247,23 @@ class Embedding:
 # vertex, so a one-line file must not be able to ask for more than this.
 MAX_VERTICES = 10**6
 
+# Largest decimal exponent a number in an input file may carry.  Fraction
+# accepts "1e999999999" and then spends minutes building 10**999999999.
+MAX_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
+
+
+def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)`` with the exponent bounded by MAX_EXPONENT.
+
+    Raises ValueError (or ZeroDivisionError for a zero denominator) on text
+    that is not a number or whose exponent is out of range."""
+    exponent = _EXPONENT.search(text)
+    if exponent is not None and abs(int(exponent.group(1))) > MAX_EXPONENT:
+        raise ValueError(f"exponent out of range in {text!r}")
+    return Fraction(text)
+
 
 def parse_graph(text: str) -> Multigraph:
     """Parse an edge-list document into a Multigraph.
@@ -295,7 +313,7 @@ def parse_graph(text: str) -> Multigraph:
             w: int | Fraction = 1
             if len(fields) == 4:
                 try:
-                    w = Fraction(fields[3])
+                    w = parse_fraction(fields[3])
                 except (ValueError, ZeroDivisionError):
                     raise GraphFormatError(f"bad weight {fields[3]!r}", line_no)
                 if w < 0:

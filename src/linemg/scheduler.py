@@ -6,10 +6,11 @@ queue lengths as vertex weights.  Three interchangeable schedulers:
 
 * ``ROOT_MWM`` - the polynomial path: when the conflict graph is the line
   graph of a multigraph, its independent sets are matchings of the
-  reconstructed root, so each slot reduces to one blossom call.  The call
-  sees only the root edges whose queues are non-empty (an empty link adds
-  nothing and is never served), so a slot's cost grows with the number of
-  non-empty links, not with the size of the root.
+  reconstructed root, so each slot reduces to one call of the package's
+  blossom solver (``max_weight_matching``).  The call sees only the root
+  edges whose queues are non-empty (an empty link adds nothing and is never
+  served), so a slot's cost grows with the number of non-empty links, not
+  with the size of the root.
 * ``EXACT_MWIS`` - brute force on the conflict graph, exact but exponential;
   the fallback for conflict graphs of at most ``EXACT_LIMIT`` links that are
   not line multigraphs.
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .elehot import NotLineMultigraph, elehot
-from .graphcore import Multigraph, SimpleGraph
+from .graphcore import Multigraph, SimpleGraph, parse_fraction
 from .linegraph import LineGraphResult, RootResult, conflict_graph
 from .matching import max_weight_matching, reduce_multigraph, brute_force_mwis
 
@@ -209,11 +210,13 @@ def simulate(p: Pipeline, rates: Sequence[float], slots: int, seed: int) -> Slot
     then add the arrivals.  Everything after the seed is deterministic.
     """
     m = p.network.n_edges
-    rate_list = [float(r) for r in rates]
+    rate_list = list(rates)
     if len(rate_list) != m:
         raise ValueError(f"expected {m} rates, got {len(rate_list)}")
-    if any(not 0.0 <= r <= 1.0 for r in rate_list):
+    # checked before float(): a huge Fraction overflows it
+    if any(not 0 <= r <= 1 for r in rate_list):
         raise ValueError("rates must lie in [0, 1]")
+    rate_list = [float(r) for r in rate_list]
     if slots < 1:
         raise ValueError("slots must be >= 1")
 
@@ -254,22 +257,23 @@ VECTOR_HEADER = ("link_id", "value")
 
 def read_vector_csv(text: str) -> dict[int, Fraction]:
     """Parse a per-link vector: header 'link_id,value', one row per link."""
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty CSV") from None
-    if tuple(field.strip() for field in header) != VECTOR_HEADER:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # e.g. a bare carriage return inside a field
+        raise ValueError(f"malformed CSV: {exc}") from None
+    if not rows:
+        raise ValueError("empty CSV")
+    if tuple(field.strip() for field in rows[0]) != VECTOR_HEADER:
         raise ValueError("CSV header must be exactly 'link_id,value'")
     out: dict[int, Fraction] = {}
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
             raise ValueError(f"row {row_no}: expected two fields")
         try:
             link = int(row[0])
-            value = Fraction(row[1])
+            value = parse_fraction(row[1])
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"row {row_no}: bad link id or value") from None
         if link in out:

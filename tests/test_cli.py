@@ -8,17 +8,11 @@ import pytest
 from linemg import Multigraph, line_graph, parse_graph, serialize_graph
 
 
-def run(*args, env_extra=None, **kwargs):
-    import os
-
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
+def run(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "linemg", *args],
         capture_output=True,
         text=True,
-        env=env,
         **kwargs,
     )
 
@@ -234,17 +228,6 @@ def test_simulate_requires_rates_flag(files):
     assert proc.returncode == 2
 
 
-def test_threads_env_validation(files):
-    _, write = files
-    k3 = write("k3.txt", "v 3\ne 0 1\ne 0 2\ne 1 2\n")
-    ok = run("recognize", k3, env_extra={"LINEMG_THREADS": "2"})
-    assert ok.returncode == 0
-    bad = run("recognize", k3, env_extra={"LINEMG_THREADS": "zero"})
-    assert bad.returncode == 2
-    neg = run("recognize", k3, env_extra={"LINEMG_THREADS": "0"})
-    assert neg.returncode == 2
-
-
 def test_root_round_trip_through_files(files, tmp_path):
     # conflict -> root -> re-read -> line graph == conflict graph
     tmp, write = files
@@ -265,3 +248,28 @@ def test_root_round_trip_through_files(files, tmp_path):
         for u, v in lg.edge_list
     }
     assert translated == set(gc.edge_list)
+
+
+def test_matching_paths_run_without_networkx(tmp_path):
+    # networkx is a test-only dependency: with every import of it failing,
+    # a ROOT_MWM simulation and the mwm command must still work
+    graph = tmp_path / "w.txt"
+    graph.write_text("v 6\ne 0 1 8\ne 0 2 9\ne 1 2 10\ne 2 3 7\ne 0 5 5\ne 3 4 6\n")
+    code = """
+import sys
+sys.modules["networkx"] = None  # makes `import networkx` raise ImportError
+import linemg
+from linemg import cli
+
+net = linemg.Multigraph.from_pairs(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (1, 6)])
+p = linemg.build_pipeline(net, 1)
+assert p.mode == linemg.ROOT_MWM, p.mode
+log = linemg.simulate(p, [0.4] * net.n_edges, 60, 3)
+assert sum(len(r.scheduled) for r in log.records) > 0
+sys.exit(cli.main(["mwm", sys.argv[1]]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(graph)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["edges: 2 4 5", "weight: 21"]
