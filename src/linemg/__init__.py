@@ -20,7 +20,6 @@ from .graphcore import (
     GraphFormatError,
     Multigraph,
     SimpleGraph,
-    bfs_distances,
     connected_components,
     find_induced,
     geometric_graph,

@@ -264,51 +264,21 @@ def krausz_oracle(g: SimpleGraph) -> bool:
 # Exhaustive enumeration up to isomorphism (n <= 7)
 # ---------------------------------------------------------------------------
 #
-# Graphs are packed as bit vectors over vertex pairs in combinations order.
-# The canonical code of a graph is the smallest packed value over all vertex
-# permutations; 7! = 5040 permutations is small enough to take the minimum
-# directly once the per-permutation bit shuffles are precomputed.
+# Graphs are packed as bit vectors over vertex pairs in combinations order,
+# so row i of the upper adjacency triangle is more significant than every
+# later row.  The canonical code of a graph is the smallest packed value over
+# all vertex orders, found by ordered partition refinement (after McKay,
+# "Practical graph isomorphism", 1981): the vertex at the next position comes
+# from the first cell, and it splits every cell into its non-neighbours, then
+# its neighbours, which makes its row as small as the cells allow.  Only the
+# candidates with the smallest row are followed, and a prefix that already
+# exceeds the best code found is dropped.  Graphs with many automorphisms
+# still branch on every candidate, hence the 7-vertex limit.
 
 
 @lru_cache(maxsize=None)
 def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(n), 2))
-
-
-@lru_cache(maxsize=None)
-def _perm_bit_sources(n: int):
-    """Array (n!, C(n,2)): row p, column k holds the source bit index that
-    permutation p moves into packed position k."""
-    import numpy as np
-    from itertools import permutations
-
-    pairs = _pair_order(n)
-    index = {pair: k for k, pair in enumerate(pairs)}
-    perms = list(permutations(range(n)))
-    src = np.empty((len(perms), len(pairs)), dtype=np.int64)
-    for row, p in enumerate(perms):
-        for k, (i, j) in enumerate(pairs):
-            a, b = p[i], p[j]
-            src[row, k] = index[(a, b) if a < b else (b, a)]
-    return src
-
-
-def _bits_of(g: SimpleGraph):
-    import numpy as np
-
-    pairs = _pair_order(g.n_vertices)
-    index = {pair: k for k, pair in enumerate(pairs)}
-    bits = np.zeros(len(pairs), dtype=np.int64)
-    for u, v in g.edge_list:
-        bits[index[(u, v)]] = 1
-    return bits
-
-
-@lru_cache(maxsize=None)
-def _pow2(k: int):
-    import numpy as np
-
-    return 1 << np.arange(k - 1, -1, -1, dtype=np.int64) if k else np.zeros(0, np.int64)
 
 
 def canonical_code(g: SimpleGraph) -> tuple[int, int]:
@@ -318,10 +288,36 @@ def canonical_code(g: SimpleGraph) -> tuple[int, int]:
         raise ValueError("canonical codes support at most 7 vertices")
     if n <= 1:
         return (n, 0)
-    bits = _bits_of(g)
-    src = _perm_bit_sources(n)
-    codes = bits[src] @ _pow2(src.shape[1])
-    return (n, int(codes.min()))
+    adj = g.adj
+    best = -1
+
+    def place(cells: list[list[int]], code: int) -> None:
+        nonlocal best
+        if not cells:
+            if best < 0 or code < best:
+                best = code
+            return
+        first = cells[0]
+        options = []
+        for v in first:
+            row = code
+            split: list[list[int]] = []
+            for cell in [[u for u in first if u != v], *cells[1:]]:
+                zeros = [u for u in cell if u not in adj[v]]
+                ones = [u for u in cell if u in adj[v]]
+                row = row << len(cell) | (1 << len(ones)) - 1
+                split += [part for part in (zeros, ones) if part]
+            options.append((row, split))
+        low = min(row for row, _ in options)
+        left = sum(map(len, cells)) - 1  # vertices still unplaced after v
+        if best >= 0 and low > best >> (left * (left - 1) // 2):
+            return
+        for row, split in options:
+            if row == low:
+                place(split, row)
+
+    place([list(range(n))], 0)
+    return (n, best)
 
 
 def _graph_from_code(n: int, code: int) -> SimpleGraph:
@@ -333,38 +329,17 @@ def _graph_from_code(n: int, code: int) -> SimpleGraph:
 
 @lru_cache(maxsize=None)
 def _all_codes(n: int) -> tuple[int, ...]:
-    """Canonical codes of every graph on n labeled-free vertices, by
-    augmenting each (n-1)-vertex representative with one new vertex attached
-    in every possible way."""
-    import numpy as np
-
+    """Canonical codes of every graph on n unlabeled vertices, by augmenting
+    each (n-1)-vertex representative with one new vertex attached in every
+    possible way."""
     if n == 1:
         return (0,)
-    parents = _all_codes(n - 1)
-    pairs = _pair_order(n)
-    index = {pair: k for k, pair in enumerate(pairs)}
-    k_new = len(pairs)
-    k_old = len(_pair_order(n - 1))
-    old_to_new = np.array(
-        [index[pair] for pair in _pair_order(n - 1)], dtype=np.int64
-    )
-    anchor = np.array([index[(i, n - 1)] for i in range(n - 1)], dtype=np.int64)
-    src = _perm_bit_sources(n)
-    pow2 = _pow2(k_new)
-    n_masks = 1 << (n - 1)
-    masks = np.arange(n_masks, dtype=np.int64)
-    mask_bits = (masks[:, None] >> np.arange(n - 1, dtype=np.int64)[None, :]) & 1
-
     out: set[int] = set()
-    for pcode in parents:
-        parent_bits = np.array(
-            [(pcode >> (k_old - 1 - i)) & 1 for i in range(k_old)], dtype=np.int64
-        )
-        batch = np.zeros((n_masks, k_new), dtype=np.int64)
-        batch[:, old_to_new] = parent_bits[None, :]
-        batch[:, anchor] = mask_bits
-        codes = batch[:, src] @ pow2  # (n_masks, n!) -> min over permutations
-        out.update(int(c) for c in codes.min(axis=1))
+    for pcode in _all_codes(n - 1):
+        edges = list(_graph_from_code(n - 1, pcode).edge_list)
+        for mask in range(1 << (n - 1)):
+            attach = [(u, n - 1) for u in range(n - 1) if mask >> u & 1]
+            out.add(canonical_code(SimpleGraph.from_edges(n, edges + attach))[1])
     return tuple(sorted(out))
 
 

@@ -21,7 +21,6 @@ this module touches floating point except geometric_graph's distance test.
 
 from __future__ import annotations
 
-import math
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -227,9 +226,6 @@ class Embedding:
     def __post_init__(self):
         if len(set(self.mapping)) != len(self.mapping):
             raise ValueError("embedding is not injective")
-
-    def __len__(self) -> int:
-        return len(self.mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +449,6 @@ def connected_components(g: SimpleGraph) -> list[list[int]]:
                     queue.append(u)
         comps.append(sorted(comp))
     return comps
-
-
-def bfs_distances(g: SimpleGraph, source: int) -> list[float]:
-    """Hop distances from ``source``; unreachable vertices get math.inf."""
-    dist: list[float] = [math.inf] * g.n_vertices
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if dist[u] == math.inf:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
 
 
 def geometric_graph(points: Sequence[tuple[float, float]], radius: float) -> SimpleGraph:

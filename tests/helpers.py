@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
-from itertools import combinations, combinations_with_replacement
+from collections import deque
+from itertools import combinations, combinations_with_replacement, permutations
 
 from linemg import Multigraph, SimpleGraph, is_isomorphic, line_graph
 
@@ -90,4 +92,34 @@ def is_induced_at(host: SimpleGraph, pattern: SimpleGraph, mapping) -> bool:
     return all(
         pattern.has_edge(i, j) == host.has_edge(mapping[i], mapping[j])
         for i, j in combinations(range(pattern.n_vertices), 2)
+    )
+
+
+def bfs_distances(g: SimpleGraph, source: int) -> list[float]:
+    """Hop distances from ``source``; unreachable vertices get math.inf."""
+    dist: list[float] = [math.inf] * g.n_vertices
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for u in g.adj[v]:
+            if dist[u] == math.inf:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def permutation_code(g: SimpleGraph) -> int:
+    """The smallest packed adjacency code over every vertex order, by trying
+    them all: pair (p[i], p[j]) for i < j in combinations order, first pair
+    most significant."""
+    n = g.n_vertices
+    pairs = list(combinations(range(n), 2))
+    return min(
+        sum(
+            1 << (len(pairs) - 1 - k)
+            for k, (i, j) in enumerate(pairs)
+            if g.has_edge(p[i], p[j])
+        )
+        for p in permutations(range(n))
     )

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -273,3 +274,19 @@ sys.exit(cli.main(["mwm", sys.argv[1]]))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["edges: 2 4 5", "weight: 21"]
+
+
+def test_derive_runs_without_numpy_and_reproduces_the_shipped_catalog():
+    # the package has no runtime dependency: with every import of numpy
+    # failing, the derivation must still print the shipped multigraph7
+    # entries byte for byte (names, order and edge lists)
+    code = """
+import sys
+sys.modules["numpy"] = None  # makes `import numpy` raise ImportError
+from linemg import cli
+sys.exit(cli.main(["derive", "--max-n", "7"]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    shipped = resources.files("linemg.data").joinpath("multigraph7.txt").read_text()
+    assert proc.stdout == shipped[shipped.index("# name: F1") :]

@@ -22,10 +22,10 @@ from linemg import (
     scan,
     true_twin_classes,
 )
-from linemg.forbidden import CONNECTED_COUNTS, canonical_code, catalog_witness
+from linemg.forbidden import CONNECTED_COUNTS, _all_codes, canonical_code, catalog_witness
 from linemg.linegraph import NotLineGraph
 from linemg.elehot import NotLineMultigraph
-from tests.helpers import is_induced_at, random_simple_graph, root_search
+from tests.helpers import is_induced_at, permutation_code, random_simple_graph, root_search
 
 
 CLAW = SimpleGraph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
@@ -157,6 +157,20 @@ def test_canonical_code_separates_non_isomorphic():
     c6 = SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     two_k3 = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert canonical_code(c6) != canonical_code(two_k3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_canonical_code_is_the_smallest_code_over_all_vertex_orders(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 6)
+    g = random_simple_graph(rng, n, rng.random())
+    assert canonical_code(g) == (n, permutation_code(g))
+
+
+def test_graph_counts_match_reference_sequence():
+    # every graph on 1..7 vertices up to isomorphism, connected or not
+    assert tuple(len(_all_codes(n)) for n in range(1, 8)) == (1, 2, 4, 11, 34, 156, 1044)
 
 
 # --------------------------------------------------------------- derivation

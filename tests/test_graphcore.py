@@ -14,7 +14,6 @@ from linemg import (
     GraphFormatError,
     Multigraph,
     SimpleGraph,
-    bfs_distances,
     connected_components,
     find_induced,
     geometric_graph,
@@ -24,7 +23,7 @@ from linemg import (
     true_twin_classes,
 )
 from linemg.graphcore import MAX_VERTICES
-from tests.helpers import random_multigraph, random_simple_graph
+from tests.helpers import bfs_distances, random_multigraph, random_simple_graph
 
 
 # ---------------------------------------------------------------- containers

@@ -14,7 +14,6 @@ from linemg import (
     NotLineGraph,
     SimpleGraph,
     VertexEdgeMap,
-    bfs_distances,
     conflict_graph,
     enumerate_connected,
     graph_power,
@@ -23,7 +22,7 @@ from linemg import (
     load_catalog,
     recognize_line_graph,
 )
-from tests.helpers import is_induced_at, random_multigraph, random_simple_graph
+from tests.helpers import bfs_distances, is_induced_at, random_multigraph, random_simple_graph
 
 
 def relabel(g: SimpleGraph, vmap: VertexEdgeMap) -> SimpleGraph:

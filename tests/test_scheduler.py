@@ -164,6 +164,28 @@ def test_schedule_result_is_independent_in_conflict_graph():
                         assert b not in gc.adj[a]
 
 
+def test_greedy_slots_are_greedy_mwis_on_the_live_links():
+    # SPIDER13 at 2 hops has one link more than the exact solver takes, so
+    # every slot of this simulation runs greedy_mwis on the conflict graph
+    p = build_pipeline(SPIDER13, 2)
+    assert p.mode == GREEDY
+    conflict = p.conflict.graph
+    log = simulate(p, [0.3] * SPIDER13.n_edges, 200, seed=5)
+    queues = [0] * SPIDER13.n_edges
+    for r in log.records:
+        chosen, _ = greedy_mwis(conflict, queues)
+        assert r.scheduled == tuple(link for link in chosen if queues[link] > 0)
+        for a in r.scheduled:
+            assert queues[a] > 0
+            assert not conflict.adj[a] & set(r.scheduled)
+        for link in r.scheduled:
+            queues[link] -= 1
+        for link in r.arrivals:
+            queues[link] += 1
+    assert tuple(queues) == log.final_queues
+    assert sum(len(r.scheduled) for r in log.records) > 0
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 100_000))
 def test_root_schedule_on_sparse_queues_is_a_maximum_weight_matching(seed):
