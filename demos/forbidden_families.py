@@ -9,14 +9,15 @@ search.
 """
 
 from linemg import (
+    NotLineMultigraph,
     SimpleGraph,
     derive_minimal_forbidden,
+    elehot,
     enumerate_connected,
     find_clique_cover,
     is_isomorphic,
     krausz_oracle,
     load_catalog,
-    scan,
 )
 
 beineke = load_catalog("beineke9")
@@ -35,11 +36,14 @@ overlap = [
 ]
 print("shared members:", overlap)
 
-# Scanning reports every family member present as an induced subgraph, with
-# an embedding.  A net-shaped host: claw at the hub.
+# The recognizer's "no" carries its proof: a family member induced in the
+# host, with an embedding (vertex i of the member sits at mapping[i]).  A
+# net-shaped host: claw at the hub.
 host = SimpleGraph.from_edges(7, [(0, 3), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6)])
-for name, emb in scan(host, family7):
-    print(f"host contains {name} at vertices {emb.mapping}")
+try:
+    elehot(host)
+except NotLineMultigraph as no:
+    print(f"host contains {no.witness.name} at vertices {no.witness.embedding.mapping}")
 
 # Membership itself has a second, catalog-free characterization: an edge
 # clique cover using every vertex at most twice.  The diamond has one; the

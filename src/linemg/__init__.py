@@ -56,7 +56,6 @@ from .forbidden import (
     find_clique_cover,
     krausz_oracle,
     load_catalog,
-    scan,
 )
 from .matching import (
     Matching,

@@ -2,14 +2,14 @@
 
 Subcommands wire the library together: recognition (``recognize``), root
 extraction (``root``), line/conflict-graph construction (``linegraph``,
-``conflict``), forbidden-subgraph scanning and derivation (``forbidden``,
+``conflict``), forbidden-subgraph witnesses and derivation (``forbidden``,
 ``derive``), matching/independent-set solvers (``mwm``, ``mwis``), and
 scheduling (``schedule``, ``simulate``).
 
 Conventions shared by every subcommand:
 
 * exit 0 = success / positive answer, exit 1 = negative answer (not a line
-  multigraph, forbidden subgraphs found), exit 2 = usage or input error;
+  multigraph, a forbidden subgraph found), exit 2 = usage or input error;
 * diagnostics go to stderr, data to stdout or to ``--out PATH``;
 * commands that also produce a vertex/edge map write it next to the primary
   output as ``PATH.map.csv`` (and therefore require ``--out``).
@@ -25,10 +25,16 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .graphcore import GraphFormatError, Multigraph, parse_graph, serialize_graph
-from .linegraph import NotLineGraph, conflict_graph, line_graph
+from .graphcore import (
+    GraphFormatError,
+    Multigraph,
+    SimpleGraph,
+    parse_graph,
+    serialize_graph,
+)
+from .linegraph import NotLineGraph, conflict_graph, line_graph, recognize_line_graph
 from .elehot import NotLineMultigraph, elehot
-from .forbidden import derive_minimal_forbidden, load_catalog, scan
+from .forbidden import derive_minimal_forbidden
 from .matching import brute_force_mwis, max_weight_matching, reduce_multigraph
 from .scheduler import (
     build_pipeline,
@@ -55,6 +61,20 @@ def _load_graph(path: str) -> Multigraph:
         return parse_graph(text)
     except GraphFormatError as exc:
         raise UsageError(f"{path}: {exc}") from exc
+
+
+def _load_simple_graph(path: str) -> SimpleGraph:
+    try:
+        return _load_graph(path).to_simple_graph()
+    except ValueError as exc:  # parallel edges
+        raise UsageError(f"{path}: {exc}") from exc
+
+
+def _positive(text: str) -> int:
+    """argparse type of --hops and --slots; anything but an int >= 1 exits 2."""
+    if text.strip().isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
 
 
 def _load_vector(path: str) -> dict[int, Fraction]:
@@ -107,18 +127,10 @@ def _multiplicity_histogram(g: Multigraph) -> str:
 
 
 def cmd_recognize(args) -> int:
-    g = _load_graph(args.graph)
+    simple = _load_simple_graph(args.graph)
+    decide = elehot if args.mode == "multi" else recognize_line_graph
     try:
-        simple = g.to_simple_graph()
-    except ValueError as exc:
-        raise UsageError(f"{args.graph}: {exc}") from exc
-    try:
-        if args.mode == "multi":
-            result = elehot(simple)
-        else:
-            from .linegraph import recognize_line_graph
-
-            result = recognize_line_graph(simple)
+        result = decide(simple)
     except (NotLineGraph, NotLineMultigraph) as exc:
         print("NO")
         print(exc, file=sys.stderr)
@@ -132,11 +144,7 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_root(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        simple = g.to_simple_graph()
-    except ValueError as exc:
-        raise UsageError(f"{args.graph}: {exc}") from exc
+    simple = _load_simple_graph(args.graph)
     try:
         result = elehot(simple)
     except NotLineMultigraph as exc:
@@ -171,33 +179,29 @@ def cmd_linegraph(args) -> int:
 
 
 def cmd_conflict(args) -> int:
-    if args.hops < 1:
-        raise UsageError("--hops must be a positive integer")
     g = _load_graph(args.network)
     result = conflict_graph(g, args.hops)
     return _emit_line_result(args, result, "link_id,gc_vertex")
 
 
 def cmd_forbidden(args) -> int:
-    g = _load_graph(args.graph)
+    simple = _load_simple_graph(args.graph)
+    # the recognizer of the catalog's family decides; by the characterization
+    # theorem an accepted graph has no entry induced, and a rejection's
+    # witness is an induced entry
+    decide = elehot if args.catalog == "multigraph7" else recognize_line_graph
     try:
-        simple = g.to_simple_graph()
-    except ValueError as exc:
-        raise UsageError(f"{args.graph}: {exc}") from exc
-    try:
-        catalog = load_catalog(args.catalog)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    hits = scan(simple, catalog)
-    for name, emb in hits:
-        print(f"{name}: {' '.join(str(v) for v in emb.mapping)}")
-    print(f"hits: {len(hits)}", file=sys.stderr)
-    return 1 if hits else 0
+        decide(simple)
+    except (NotLineGraph, NotLineMultigraph) as exc:
+        witness = exc.witness
+        print(f"{witness.name}: {' '.join(str(v) for v in witness.embedding.mapping)}")
+        print("hits: 1", file=sys.stderr)
+        return 1
+    print("hits: 0", file=sys.stderr)
+    return 0
 
 
 def cmd_derive(args) -> int:
-    if not 1 <= args.max_n <= 7:
-        raise UsageError("--max-n must be between 1 and 7")
     catalog = derive_minimal_forbidden(args.max_n)
     blocks = []
     for entry in catalog.entries:
@@ -221,11 +225,7 @@ def cmd_mwm(args) -> int:
 
 
 def cmd_mwis(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        simple = g.to_simple_graph()
-    except ValueError as exc:
-        raise UsageError(f"{args.graph}: {exc}") from exc
+    simple = _load_simple_graph(args.graph)
     if simple.n_vertices > 25:
         raise UsageError("mwis is exhaustive and limited to 25 vertices")
     if args.weights is not None:
@@ -247,8 +247,6 @@ def cmd_mwis(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    if args.hops < 1:
-        raise UsageError("--hops must be a positive integer")
     network = _load_graph(args.network)
     queues = _load_vector(args.queues)
     try:
@@ -256,6 +254,9 @@ def cmd_schedule(args) -> int:
         links = schedule_slot(pipeline, queues)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except NotLineMultigraph as exc:  # policy "root" on a non-member
+        print(exc, file=sys.stderr)
+        return 1
     weight = _decimal(sum(queues[link] for link in links))
     print(f"links: {' '.join(str(link) for link in links)}")
     print(f"weight: {weight}")
@@ -264,10 +265,6 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.hops < 1:
-        raise UsageError("--hops must be a positive integer")
-    if args.slots < 1:
-        raise UsageError("--slots must be a positive integer")
     network = _load_graph(args.network)
     vector = _load_vector(args.rates)
     unknown = set(vector) - set(range(network.n_edges))
@@ -279,6 +276,9 @@ def cmd_simulate(args) -> int:
         log = simulate(pipeline, rates, args.slots, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except NotLineMultigraph as exc:  # policy "root" on a non-member
+        print(exc, file=sys.stderr)
+        return 1
     _write_text(args.out, write_slots_csv(log))
     if args.summary is not None:
         _write_text(args.summary, write_summary_csv(log))
@@ -327,21 +327,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conflict", help="build the M-hop conflict graph")
     p.add_argument("network", help="edge-list file")
-    p.add_argument("--hops", type=int, required=True, help="interference range M >= 1")
+    p.add_argument("--hops", type=_positive, required=True, help="interference range M")
     p.add_argument("--out", help="write the conflict graph here plus OUT.map.csv")
     p.set_defaults(func=cmd_conflict)
 
-    p = sub.add_parser("forbidden", help="scan for forbidden induced subgraphs")
+    p = sub.add_parser("forbidden", help="name one induced catalog entry, if any")
     p.add_argument("graph", help="edge-list file")
     p.add_argument(
         "--catalog",
+        choices=("multigraph7", "beineke9"),
         default="multigraph7",
-        help="catalog name: multigraph7 or beineke9",
+        help="multigraph7 for line multigraphs, beineke9 for simple line graphs",
     )
     p.set_defaults(func=cmd_forbidden)
 
     p = sub.add_parser("derive", help="re-derive a minimal forbidden catalog")
-    p.add_argument("--max-n", type=int, required=True, help="vertex bound (<= 7)")
+    p.add_argument("--max-n", type=int, choices=range(1, 8), required=True)
     p.add_argument("--out", help="write the catalog here (default stdout)")
     p.set_defaults(func=cmd_derive)
 
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="one MaxWeight scheduling decision")
     p.add_argument("network", help="edge-list file")
-    p.add_argument("--hops", type=int, required=True, help="interference range M >= 1")
+    p.add_argument("--hops", type=_positive, required=True, help="interference range M")
     p.add_argument("--queues", required=True, help="queue CSV (link_id,value)")
     p.add_argument(
         "--policy",
@@ -368,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="slotted-time queueing simulation")
     p.add_argument("network", help="edge-list file")
-    p.add_argument("--hops", type=int, required=True, help="interference range M >= 1")
+    p.add_argument("--hops", type=_positive, required=True, help="interference range M")
     p.add_argument("--rates", required=True, help="arrival-rate CSV (link_id,value)")
-    p.add_argument("--slots", type=int, required=True, help="number of slots")
+    p.add_argument("--slots", type=_positive, required=True, help="number of slots")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--out", help="per-slot totals CSV (default stdout)")
     p.add_argument("--summary", help="optional per-link throughput CSV")
@@ -396,7 +397,3 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

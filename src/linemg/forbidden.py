@@ -126,17 +126,6 @@ def load_catalog(name: str) -> Catalog:
     return Catalog(name, "catalog-file", entries)
 
 
-def scan(g: SimpleGraph, catalog: Catalog) -> list[tuple[str, Embedding]]:
-    """All catalog entries appearing in ``g`` as induced subgraphs, each with
-    one (deterministic) witness embedding, in catalog order."""
-    hits: list[tuple[str, Embedding]] = []
-    for entry in catalog.entries:
-        emb = find_induced(g, entry.graph)
-        if emb is not None:
-            hits.append((entry.name, emb))
-    return hits
-
-
 def catalog_witness(g: SimpleGraph, name: str) -> ForbiddenWitness:
     """An entry of catalog ``name`` induced in ``g``, which the recognizer of
     that family rejects.
@@ -224,9 +213,9 @@ def find_clique_cover(g: SimpleGraph) -> CliqueCover | None:
         target = next((i for i in range(m) if not covered[i]), None)
         if target is None:
             return True
+        # both ends have budget left: a vertex whose budget ran out had all
+        # of its edges covered, or the clique that spent it was not viable
         u, v = edges[target]
-        if budget[u] == 0 or budget[v] == 0:
-            return False
         for clique in cliques_through(u, v):
             for w in clique:
                 budget[w] -= 1

@@ -187,7 +187,7 @@ def _odd_triangle(g: SimpleGraph, tri: tuple[int, int, int]) -> bool:
     return any(c % 2 == 1 for c in counts.values())
 
 
-def _starting_cell(g: SimpleGraph, edge: tuple[int, int], depth: int = 0) -> tuple[int, ...]:
+def _starting_cell(g: SimpleGraph, edge: tuple[int, int]) -> tuple[int, ...]:
     """Choose the first Krausz cell, anchored at ``edge``.
 
     An edge in no triangle is its own cell.  An edge in one triangle whose
@@ -205,13 +205,9 @@ def _starting_cell(g: SimpleGraph, edge: tuple[int, int], depth: int = 0) -> tup
     if r == 1:
         c = tri_vertices[0]
         if len(_triangles_on_edge(g, a, c)) != 1:
-            if depth >= 2:  # cannot happen: the next edge sits in >= 2 triangles
-                raise _CellFailure("cell selection did not settle")
-            return _starting_cell(g, (a, c), depth + 1)
+            return _starting_cell(g, (a, c))
         if len(_triangles_on_edge(g, b, c)) != 1:
-            if depth >= 2:
-                raise _CellFailure("cell selection did not settle")
-            return _starting_cell(g, (b, c), depth + 1)
+            return _starting_cell(g, (b, c))
         return (a, b, c)
     odd = [c for c in tri_vertices if _odd_triangle(g, (a, b, c))]
     s = len(odd)
@@ -277,9 +273,10 @@ def _root_from_cells(g: SimpleGraph, cells: list[tuple[int, ...]]) -> Multigraph
         if len(membership[v]) > 2:
             raise _CellFailure("vertex belongs to more than two cells")
 
+    # cells are edge-disjoint, so two line vertices share at most one cell and
+    # the root has no parallel edges
     next_vertex = len(cells)
     pairs: list[tuple[int, int]] = []
-    seen_pairs: set[tuple[int, int]] = set()
     for v in range(n):
         cells_of_v = membership[v]
         if len(cells_of_v) == 2:
@@ -290,14 +287,7 @@ def _root_from_cells(g: SimpleGraph, cells: list[tuple[int, ...]]) -> Multigraph
         else:  # isolated vertex: a private edge between two fresh endpoints
             a, b = next_vertex, next_vertex + 1
             next_vertex += 2
-        key = (min(a, b), max(a, b))
-        if key in seen_pairs:
-            # two line vertices sharing both cells would force parallel edges
-            raise _CellFailure(
-                "two vertices share the same two cells (a twin pair: no simple root)"
-            )
-        seen_pairs.add(key)
-        pairs.append(key)
+        pairs.append((a, b))
     return Multigraph.from_pairs(next_vertex, pairs)
 
 

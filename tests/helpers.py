@@ -7,7 +7,15 @@ import random
 from collections import deque
 from itertools import combinations, combinations_with_replacement, permutations
 
-from linemg import Multigraph, SimpleGraph, is_isomorphic, line_graph
+from linemg import (
+    Catalog,
+    Embedding,
+    Multigraph,
+    SimpleGraph,
+    find_induced,
+    is_isomorphic,
+    line_graph,
+)
 
 
 def random_multigraph(
@@ -123,3 +131,16 @@ def permutation_code(g: SimpleGraph) -> int:
         )
         for p in permutations(range(n))
     )
+
+
+def scan(g: SimpleGraph, catalog: Catalog) -> list[tuple[str, Embedding]]:
+    """All catalog entries appearing in ``g`` as induced subgraphs, each with
+    one (deterministic) witness embedding, in catalog order.  One unbounded
+    backtracking search per entry, so only for small graphs: the oracle the
+    recognizers' witnesses are checked against."""
+    hits: list[tuple[str, Embedding]] = []
+    for entry in catalog.entries:
+        emb = find_induced(g, entry.graph)
+        if emb is not None:
+            hits.append((entry.name, emb))
+    return hits

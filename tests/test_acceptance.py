@@ -35,14 +35,18 @@ from linemg import (
     parse_graph,
     recognize_line_graph,
     reduce_multigraph,
-    scan,
     schedule_slot,
     simulate,
     true_twin_classes,
     verify_root,
 )
 from linemg.scheduler import ROOT_MWM
-from tests.helpers import random_connected_multigraph, random_multigraph, random_simple_graph
+from tests.helpers import (
+    random_connected_multigraph,
+    random_multigraph,
+    random_simple_graph,
+    scan,
+)
 
 
 def report(capfd, num, name, ok, detail=""):

@@ -19,13 +19,18 @@ from linemg import (
     line_graph,
     load_catalog,
     recognize_line_graph,
-    scan,
     true_twin_classes,
 )
 from linemg.forbidden import CONNECTED_COUNTS, _all_codes, canonical_code, catalog_witness
 from linemg.linegraph import NotLineGraph
 from linemg.elehot import NotLineMultigraph
-from tests.helpers import is_induced_at, permutation_code, random_simple_graph, root_search
+from tests.helpers import (
+    is_induced_at,
+    permutation_code,
+    random_simple_graph,
+    root_search,
+    scan,
+)
 
 
 CLAW = SimpleGraph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
